@@ -97,6 +97,13 @@ def _float_list(x, where: str, length: int | None = None) -> list:
     return [float(v) for v in x]
 
 
+def _positive_int(cfg: dict, key: str, default: int) -> int:
+    value = cfg.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        _fail(f"$.{key}", f"must be a positive integer, got {value!r}")
+    return value
+
+
 def _number(x, where: str) -> float:
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         _fail(where, f"expected a number, got {x!r}")
@@ -480,9 +487,7 @@ def cmd_distance(args) -> int:
     samples = cfg.get("oracle_samples", 9)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         _fail("$.oracle_samples", f"must be an integer >= 2, got {samples!r}")
-    quad_points = cfg.get("quad_points", 32)
-    if not isinstance(quad_points, int) or quad_points < 1:
-        _fail("$.quad_points", f"must be a positive integer, got {quad_points!r}")
+    quad_points = _positive_int(cfg, "quad_points", 32)
     out = _out_dir(args, cfg)
 
     def at_rho(r: float) -> dict:
@@ -545,10 +550,8 @@ def cmd_study(args) -> int:
     factors = [int(v) for v in factors]
     if any(b % a != 0 for a, b in zip(factors, factors[1:])):
         _fail("$.refinement_factors", "each factor must divide the next")
-    budget = cfg.get("rect_budget", 200_000)
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        _fail("$.rect_budget", f"must be a positive integer, got {budget!r}")
-    quad_points = cfg.get("quad_points", 32)
+    budget = _positive_int(cfg, "rect_budget", 200_000)
+    quad_points = _positive_int(cfg, "quad_points", 32)
     out = _out_dir(args, cfg)
 
     problem = _make_problem(F0, G0, deltas[0], rho, shape, tol)
@@ -630,7 +633,7 @@ def cmd_validate(args) -> int:
     samples = cfg.get("oracle_samples", 9)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         _fail("$.oracle_samples", f"must be an integer >= 2, got {samples!r}")
-    budget = cfg.get("rect_budget", 200_000)
+    budget = _positive_int(cfg, "rect_budget", 200_000)
     out = _out_dir(args, cfg)
 
     def sandwich_at(r: float) -> dict:

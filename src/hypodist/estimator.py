@@ -166,13 +166,6 @@ class RefinementReport:
 # -- LP assembly -------------------------------------------------------------------
 
 
-def _node_flat(grid: Grid, multi: np.ndarray) -> np.ndarray:
-    """Flat node indices from (N, m) per-axis node indices."""
-    return np.ravel_multi_index(
-        tuple(multi[:, i] for i in range(grid.dim)), grid.shape
-    )
-
-
 def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dict]:
     """Build the fixed-shift feasibility LP: vertex variables in [0, 1], one
     slack on the ambiguity rows, objective = slack.
@@ -193,18 +186,14 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
     model = lp.LPModel(name=f"min-slack(eta={eta:.6g})")
 
     # vertex variables; boundary flags become fixed bounds
-    nodes = grid.node_lattice()
-    fix_zero = np.zeros(n_nodes, dtype=bool)
+    upper = np.ones(n_nodes)
     if shape.boundary_zero:
-        for i in range(m):
-            fix_zero |= nodes[:, i] == dom.lower[i]
-    for j in range(n_nodes):
-        if shape.boundary_one and j == n_nodes - 1:
-            model.add_variable(lower=1.0, upper=1.0, name=f"v{j}")
-        elif fix_zero[j]:
-            model.add_variable(lower=0.0, upper=0.0, name=f"v{j}")
-        else:
-            model.add_variable(lower=0.0, upper=1.0, name=f"v{j}")
+        nodes = grid.node_lattice()
+        upper[np.any(nodes == dom.lower, axis=1)] = 0.0
+    lower = np.zeros(n_nodes)
+    if shape.boundary_one:
+        lower[-1] = upper[-1] = 1.0
+    model.add_variables(lower, upper)
     s_idx = model.add_variable(lower=0.0, upper=math.inf, objective=1.0, name="s")
 
     counts = {
@@ -218,92 +207,57 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
         "slack_index": s_idx,
     }
 
+    def add_rows(group: str, idx, cf, sense: str, rhs) -> None:
+        counts[group] += len(model.add_constraints(idx, cf, sense, rhs))
+
     # (a) monotonicity along every axis
-    grids_idx = np.indices(dims).reshape(m, -1).T  # (n_nodes, m) multi-indices
+    flat = np.arange(n_nodes).reshape(dims)  # flat node index per multi-index
     for ax in range(m):
-        mask = grids_idx[:, ax] < dims[ax] - 1
-        lo_multi = grids_idx[mask]
-        hi_multi = lo_multi.copy()
-        hi_multi[:, ax] += 1
-        a = _node_flat(grid, lo_multi)
-        b = _node_flat(grid, hi_multi)
-        for va, vb in zip(a, b):
-            model.add_constraint([va, vb], [1.0, -1.0], "<=", 0.0)
-            counts["monotone"] += 1
+        lo_nodes = np.delete(flat, -1, axis=ax).reshape(-1)
+        hi_nodes = lo_nodes + int(np.prod(dims[ax + 1:]))
+        add_rows("monotone", np.stack([lo_nodes, hi_nodes], axis=1),
+                 np.broadcast_to([1.0, -1.0], (lo_nodes.size, 2)), "<=", 0.0)
 
     # cell corner bookkeeping shared by (c), (e), (f)
-    cell_multi = np.indices(grid.cell_counts).reshape(m, -1).T
-    upper_multi = cell_multi + 1
-    u_flat = _node_flat(grid, upper_multi)
-    l_flat = _node_flat(grid, cell_multi)
+    l_flat = flat[(slice(None, -1),) * m].reshape(-1)
+    u_flat = flat[(slice(1, None),) * m].reshape(-1)
     lower_pts, upper_pts = grid.cell_bounds()
+    n_cells = l_flat.size
 
     # (c) distribution condition: signed corner sum >= 0 per cell
     if shape.distribution_condition:
         if m == 1:
-            for k in range(cell_multi.shape[0]):
-                model.add_constraint(
-                    [l_flat[k], u_flat[k]], [-1.0, 1.0], ">=", 0.0
-                )
-                counts["distribution"] += 1
+            corners, signs = [l_flat, u_flat], [-1.0, 1.0]
         else:
-            n2 = dims[1]
-            ll = l_flat
-            ur = u_flat
-            lr = ll + n2  # +1 along axis 0
-            ul = ll + 1  # +1 along axis 1
-            for k in range(cell_multi.shape[0]):
-                model.add_constraint(
-                    [ll[k], lr[k], ul[k], ur[k]],
-                    [1.0, -1.0, -1.0, 1.0],
-                    ">=",
-                    0.0,
-                )
-                counts["distribution"] += 1
+            # lower-left, +1 along axis 0, +1 along axis 1, upper-right
+            corners = [l_flat, l_flat + dims[1], l_flat + 1, u_flat]
+            signs = [1.0, -1.0, -1.0, 1.0]
+        add_rows("distribution", np.stack(corners, axis=1),
+                 np.broadcast_to(signs, (n_cells, len(signs))), ">=", 0.0)
 
     # (d) bounded growth on unique triangle edges (monotone is on, so one
-    # direction per edge suffices)
+    # direction per edge suffices): axis-0 edges, axis-1 edges, diagonals
     L = shape.bounded_growth
     if L is not None:
         if m == 1:
-            axis = grid.axes[0]
-            for k in range(axis.size - 1):
-                model.add_constraint(
-                    [k, k + 1], [-1.0, 1.0], "<=", L * (axis[k + 1] - axis[k])
-                )
-                counts["growth"] += 1
+            edges = [(flat[:-1], 1, L * np.diff(grid.axes[0]))]
         else:
-            a1, a2 = grid.axes
-            n1, n2 = dims
-            h1 = np.diff(a1)
-            h2 = np.diff(a2)
-            # axis-0 edges
-            for i in range(n1 - 1):
-                for j in range(n2):
-                    va = i * n2 + j
-                    model.add_constraint(
-                        [va, va + n2], [-1.0, 1.0], "<=", L * h1[i]
-                    )
-                    counts["growth"] += 1
-            # axis-1 edges
-            for i in range(n1):
-                for j in range(n2 - 1):
-                    va = i * n2 + j
-                    model.add_constraint([va, va + 1], [-1.0, 1.0], "<=", L * h2[j])
-                    counts["growth"] += 1
-            # cell diagonals
-            for i in range(n1 - 1):
-                for j in range(n2 - 1):
-                    va = i * n2 + j
-                    model.add_constraint(
-                        [va, va + n2 + 1],
-                        [-1.0, 1.0],
-                        "<=",
-                        L * max(h1[i], h2[j]),
-                    )
-                    counts["growth"] += 1
+            h1, h2 = (np.diff(a) for a in grid.axes)
+            edges = [
+                (flat[:-1, :], dims[1], np.repeat(L * h1, dims[1])),
+                (flat[:, :-1], 1, np.tile(L * h2, dims[0])),
+                (flat[:-1, :-1], dims[1] + 1, L * np.maximum.outer(h1, h2)),
+            ]
+        for start, step, rhs in edges:
+            a = start.reshape(-1)
+            add_rows("growth", np.stack([a, a + step], axis=1),
+                     np.broadcast_to([-1.0, 1.0], (a.size, 2)), "<=", rhs.reshape(-1))
 
-    # (e)/(f) shift rows over every cell
+    # (e)/(f) shift rows over every cell, each cell's lower row followed by
+    # its upper row:
+    #   F(clip(l_k + r)) + r [+ s] >= min(anchor(u_k), rho)
+    #   anchor(clip(l_k + r)) + r [+ s] >= min(F(u_k), rho), vacuous when the
+    #   constant side already reaches rho, else a cap F(u_k) [- s] <= ...
     def add_shift_rows(
         anchor: GridFunction, radius: float, slack: bool, tag: str
     ) -> None:
@@ -313,25 +267,26 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
         anchor_at_probe = np.atleast_1d(anchor.eval(probe))
         lower_rhs = np.minimum(anchor_at_u, rho) - radius
         upper_rhs = anchor_at_probe + radius
-        for k in range(lower_pts.shape[0]):
-            # F(clip(l_k + r)) + r [+ s] >= min(anchor(u_k), rho)
-            idx = list(w_nodes[k])
-            cf = list(w_vals[k])
-            if slack:
-                idx.append(s_idx)
-                cf.append(1.0)
-            model.add_constraint(idx, cf, ">=", float(lower_rhs[k]))
-            counts[f"{tag}_lower"] += 1
-            # anchor(clip(l_k + r)) + r [+ s] >= min(F(u_k), rho): vacuous
-            # when the constant side already reaches rho, else a cap on F(u_k)
-            if upper_rhs[k] < rho:
-                idx = [int(u_flat[k])]
-                cf = [1.0]
-                if slack:
-                    idx.append(s_idx)
-                    cf.append(-1.0)
-                model.add_constraint(idx, cf, "<=", float(upper_rhs[k]))
-                counts[f"{tag}_upper"] += 1
+        keep = upper_rhs < rho
+        s_col = np.full((n_cells, int(slack)), s_idx)
+        idx = np.hstack([w_nodes, s_col, u_flat[:, None], s_col])
+        cf = np.hstack([w_vals, np.ones_like(s_col), np.ones((n_cells, 1)),
+                        -np.ones_like(s_col)])
+        w_lower = w_nodes.shape[1] + int(slack)
+        w_upper = 1 + int(slack)
+        entries = np.ones(idx.shape, dtype=bool)
+        entries[:, w_lower:] = keep[:, None]
+        rows = np.stack([np.ones(n_cells, dtype=bool), keep], axis=1)
+        lengths = np.broadcast_to([w_lower, w_upper], rows.shape)[rows]
+        model.add_constraints(
+            idx[entries],
+            cf[entries],
+            np.broadcast_to([">=", "<="], rows.shape)[rows],
+            np.stack([lower_rhs, upper_rhs], axis=1)[rows],
+            row_ptr=np.concatenate([[0], np.cumsum(lengths)]),
+        )
+        counts[f"{tag}_lower"] += n_cells
+        counts[f"{tag}_upper"] += int(np.count_nonzero(keep))
 
     add_shift_rows(problem.F0, eta, slack=False, tag="target")
     add_shift_rows(problem.G0, problem.delta, slack=True, tag="ambiguity")

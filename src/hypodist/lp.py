@@ -6,12 +6,20 @@ Problems are stated as
     subject to  a_i . x  {<=, >=, ==}  b_i      for every row i,
                 l <= x <= u                     componentwise,
 
-with infinite bounds allowed.  ``solve`` dispatches to either the bundled
-bounded-variable two-phase primal simplex (dense, dependency-free, meant for
-small and medium problems and as a reference implementation) or to HiGHS via
-scipy when available (sparse, fast, used for the large estimation programs).
-Both report one of the statuses "optimal", "infeasible", "unbounded" or
-"iteration_limit".
+with infinite bounds allowed.  ``LPModel`` stores rows in blocks of flat
+arrays (the entries of each row, in row order, with a length, sense and
+right-hand side per row): ``add_constraints`` appends K rows at once, either
+as (K, w) index and coefficient arrays or as flat arrays split by row
+pointers, and ``add_constraint`` is its one-row form.  Duplicate indices within a row are
+summed wherever the matrix is read.  The model, its dense view and
+``constraint_residuals`` need numpy only.
+
+``solve`` dispatches to either the bundled bounded-variable two-phase primal
+simplex (dense, numpy-only, meant for small and medium problems and as a
+reference implementation) or to HiGHS via scipy when available (sparse, fast,
+used for the large estimation programs; the row blocks go to it as CSR
+matrices without a per-row pass).  Both report one of the statuses
+"optimal", "infeasible", "unbounded" or "iteration_limit".
 
 The simplex keeps nonbasic variables at finite bounds, prices with Dantzig's
 rule and falls back to Bland's rule after a run of degenerate pivots, so it
@@ -57,7 +65,16 @@ class _Constraint:
     coeffs: np.ndarray
     sense: str
     rhs: float
-    name: str
+
+
+def _sense_codes(sense, k: int) -> np.ndarray:
+    """Positions in SENSES of one sense for all k rows, or of one per row."""
+    hit = np.asarray(sense)[..., None] == np.asarray(SENSES)
+    if not np.all(np.any(hit, axis=-1)):
+        raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
+    if hit.ndim != 1 and hit.shape[0] != k:
+        raise ValueError(f"expected {k} senses, got {hit.shape[0]}")
+    return np.broadcast_to(np.argmax(hit, axis=-1).astype(np.int8), (k,))
 
 
 class LPModel:
@@ -68,8 +85,11 @@ class LPModel:
         self._lower: list[float] = []
         self._upper: list[float] = []
         self._objective: list[float] = []
-        self._var_names: list[str] = []
-        self._rows: list[_Constraint] = []
+        self._names: dict[int, str] = {}
+        # row blocks (lengths, indices, coeffs, sense codes, rhs)
+        self._blocks = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                         np.zeros(0), np.zeros(0, np.int8), np.zeros(0))]
+        self._n_rows = 0
 
     # -- construction -----------------------------------------------------
 
@@ -81,48 +101,77 @@ class LPModel:
         objective: float = 0.0,
         name: str = "",
     ) -> int:
-        if math.isnan(lower) or math.isnan(upper) or lower > upper:
-            raise ValueError(f"bad variable bounds [{lower}, {upper}]")
-        if not math.isfinite(objective):
-            raise ValueError(f"objective coefficient must be finite, got {objective}")
-        self._lower.append(float(lower))
-        self._upper.append(float(upper))
-        self._objective.append(float(objective))
-        self._var_names.append(name or f"x{len(self._lower) - 1}")
-        return len(self._lower) - 1
+        j = self.add_variables([lower], [upper], objective)[0]
+        if name:
+            self._names[j] = name
+        return j
+
+    def add_variables(self, lower, upper, objective=0.0) -> range:
+        """Append one variable per entry of ``lower``/``upper`` (objective
+        broadcasts); returns the new indices."""
+        lo = np.asarray(lower, dtype=float).reshape(-1)
+        hi = np.asarray(upper, dtype=float).reshape(-1)
+        cost = np.broadcast_to(np.asarray(objective, dtype=float), lo.shape)
+        if hi.shape != lo.shape:
+            raise ValueError("lower and upper bounds must have equal length")
+        bad = np.isnan(lo) | np.isnan(hi) | (lo > hi)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise ValueError(f"bad variable bounds [{lo[k]}, {hi[k]}]")
+        if not np.all(np.isfinite(cost)):
+            raise ValueError("objective coefficients must be finite")
+        first = self.n_variables
+        self._lower.extend(lo.tolist())
+        self._upper.extend(hi.tolist())
+        self._objective.extend(cost.tolist())
+        return range(first, first + lo.size)
 
     def add_constraint(
-        self,
-        indices: np.ndarray,
-        coeffs: np.ndarray,
-        sense: str,
-        rhs: float,
-        *,
-        name: str = "",
+        self, indices: np.ndarray, coeffs: np.ndarray, sense: str, rhs: float
     ) -> int:
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        cf = np.asarray(coeffs, dtype=float).reshape(-1)
-        if idx.size != cf.size:
-            raise ValueError("indices and coefficients must have equal length")
+        """Append one row; duplicate indices are summed."""
+        row = (np.reshape(indices, (1, -1)), np.reshape(coeffs, (1, -1)))
+        return self.add_constraints(*row, sense, rhs)[0]
+
+    def add_constraints(self, indices, coeffs, sense, rhs, *, row_ptr=None) -> range:
+        """Append K rows at once; returns the new row indices.
+
+        ``indices``/``coeffs`` are (K, w) arrays, one row each, or flat
+        arrays split into rows by ``row_ptr`` (length K + 1, starting at 0).
+        ``sense`` is one of SENSES or one per row; ``rhs`` is a scalar or
+        one per row.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        cf = np.asarray(coeffs, dtype=float)
+        if idx.shape != cf.shape:
+            raise ValueError("indices and coefficients must have equal shapes")
+        if row_ptr is None:
+            if idx.ndim != 2:
+                raise ValueError("indices must be (K, w) without row_ptr")
+            lengths = np.full(idx.shape[0], idx.shape[1], dtype=np.int64)
+        else:
+            ptr = np.asarray(row_ptr, dtype=np.int64)
+            lengths = np.diff(ptr)
+            if idx.ndim != 1 or ptr.ndim != 1 or ptr.size == 0 or ptr[0] != 0 \
+                    or ptr[-1] != idx.size or np.any(lengths < 0):
+                raise ValueError("row_ptr must run from 0 to the number of entries")
+        k = lengths.size
+        idx, cf = idx.reshape(-1), cf.reshape(-1)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_variables):
             raise ValueError("constraint references an unknown variable")
-        if sense not in SENSES:
-            raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
-        if not math.isfinite(rhs):
-            raise ValueError(f"right-hand side must be finite, got {rhs}")
+        codes = _sense_codes(sense, k)
+        b = np.asarray(rhs, dtype=float)
+        if b.ndim != 0 and b.shape != (k,):
+            raise ValueError(f"expected {k} right-hand sides, got shape {b.shape}")
+        b = np.broadcast_to(b, (k,)).copy()
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand sides must be finite")
         if not np.all(np.isfinite(cf)):
             raise ValueError("constraint coefficients must be finite")
-        # merge duplicate indices so downstream code can assume uniqueness
-        if idx.size != np.unique(idx).size:
-            order = np.argsort(idx, kind="stable")
-            idx, cf = idx[order], cf[order]
-            uniq, start = np.unique(idx, return_index=True)
-            cf = np.add.reduceat(cf, start)
-            idx = uniq
-        self._rows.append(
-            _Constraint(idx, cf, sense, float(rhs), name or f"r{len(self._rows)}")
-        )
-        return len(self._rows) - 1
+        self._blocks.append((lengths, idx, cf, codes, b))
+        first = self._n_rows
+        self._n_rows += k
+        return range(first, self._n_rows)
 
     # -- views -------------------------------------------------------------
 
@@ -132,7 +181,7 @@ class LPModel:
 
     @property
     def n_constraints(self) -> int:
-        return len(self._rows)
+        return self._n_rows
 
     @property
     def objective(self) -> np.ndarray:
@@ -142,40 +191,56 @@ class LPModel:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self._lower), np.array(self._upper)
 
-    def rows(self) -> list[_Constraint]:
-        return list(self._rows)
+    def row_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """All rows as (row_ptr, indices, coeffs, sense codes, rhs); sense
+        code c means SENSES[c]."""
+        if len(self._blocks) > 1:
+            self._blocks = [tuple(map(np.concatenate, zip(*self._blocks)))]
+        lengths, idx, cf, codes, b = self._blocks[0]
+        row_ptr = np.concatenate([[0], np.cumsum(lengths)])
+        return row_ptr, idx, cf, codes, b
 
-    def dense_matrix(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    def rows(self) -> list[_Constraint]:
+        row_ptr, idx, cf, codes, b = self.row_arrays()
+        ptr = row_ptr.tolist()
+        return [
+            _Constraint(idx[i:j], cf[i:j], SENSES[c], r)
+            for i, j, c, r in zip(ptr, ptr[1:], codes.tolist(), b.tolist())
+        ]
+
+    def _entry_rows(self) -> np.ndarray:
+        row_ptr = self.row_arrays()[0]
+        return np.repeat(np.arange(self._n_rows), np.diff(row_ptr))
+
+    def dense_matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A, b, senses) with one dense row per constraint."""
-        m, n = self.n_constraints, self.n_variables
-        A = np.zeros((m, n))
-        b = np.empty(m)
-        senses = []
-        for i, row in enumerate(self._rows):
-            A[i, row.indices] = row.coeffs
-            b[i] = row.rhs
-            senses.append(row.sense)
-        return A, b, senses
+        _, idx, cf, codes, b = self.row_arrays()
+        A = np.zeros((self.n_constraints, self.n_variables))
+        np.add.at(A, (self._entry_rows(), idx), cf)
+        return A, b.copy(), np.asarray(SENSES)[codes]
 
     def to_text(self) -> str:
         """Human-readable dump, mainly for debugging small models."""
+        def var(j: int) -> str:
+            return self._names.get(j, f"x{j}")
+
         lines = [f"minimize  ({self.name})"]
         terms = [
-            f"{c:+g} {self._var_names[j]}"
+            f"{c:+g} {var(j)}"
             for j, c in enumerate(self._objective)
             if c != 0.0
         ]
         lines.append("  " + (" ".join(terms) if terms else "0"))
         lines.append("subject to")
-        for row in self._rows:
+        for i, row in enumerate(self.rows()):
             body = " ".join(
-                f"{c:+g} {self._var_names[j]}" for j, c in zip(row.indices, row.coeffs)
+                f"{c:+g} {var(j)}" for j, c in zip(row.indices, row.coeffs)
             )
-            lines.append(f"  {row.name}: {body} {row.sense} {row.rhs:g}")
+            lines.append(f"  r{i}: {body} {row.sense} {row.rhs:g}")
         lines.append("bounds")
         for j in range(self.n_variables):
             lines.append(
-                f"  {self._lower[j]:g} <= {self._var_names[j]} <= {self._upper[j]:g}"
+                f"  {self._lower[j]:g} <= {var(j)} <= {self._upper[j]:g}"
             )
         return "\n".join(lines)
 
@@ -196,16 +261,12 @@ class LPSolution:
 def constraint_residuals(model: LPModel, x: np.ndarray) -> np.ndarray:
     """Amount by which each row is violated at x (0 means satisfied)."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(model.n_constraints)
-    for i, row in enumerate(model.rows()):
-        lhs = float(np.dot(row.coeffs, x[row.indices]))
-        if row.sense == "<=":
-            out[i] = max(0.0, lhs - row.rhs)
-        elif row.sense == ">=":
-            out[i] = max(0.0, row.rhs - lhs)
-        else:
-            out[i] = abs(lhs - row.rhs)
-    return out
+    _, idx, cf, codes, b = model.row_arrays()
+    lhs = np.bincount(model._entry_rows(), weights=cf * x[idx],
+                      minlength=model.n_constraints)
+    gap = lhs - b
+    # violations for "<=", ">=" and "==" rows, in SENSES order
+    return np.choose(codes, [np.maximum(gap, 0.0), np.maximum(-gap, 0.0), np.abs(gap)])
 
 
 # -- native simplex ---------------------------------------------------------------
@@ -226,7 +287,8 @@ def _solve_simplex(model: LPModel, max_iterations: int) -> LPSolution:
     lo, hi = model.bounds
     c_real = model.objective
 
-    n_slack = sum(1 for s in senses if s != "==")
+    has_slack = senses != "=="
+    n_slack = int(np.count_nonzero(has_slack))
     N = n + n_slack + m  # structural + slack/surplus + artificial
 
     A = np.zeros((m, N))
@@ -234,26 +296,14 @@ def _solve_simplex(model: LPModel, max_iterations: int) -> LPSolution:
     lo_full = np.concatenate([lo, np.zeros(n_slack + m)])
     hi_full = np.concatenate([hi, np.full(n_slack + m, math.inf)])
 
-    k = n
-    for i, s in enumerate(senses):
-        if s == "<=":
-            A[i, k] = 1.0
-            k += 1
-        elif s == ">=":
-            A[i, k] = -1.0
-            k += 1
+    # one slack (<=) or surplus (>=) column per inequality row, in row order
+    slack_col = np.where(has_slack, n + np.cumsum(has_slack) - 1, -1)
+    A[has_slack, slack_col[has_slack]] = np.where(senses[has_slack] == "<=", 1.0, -1.0)
 
     status = np.empty(N, dtype=np.int64)
     x = np.zeros(N)
     for j in range(n + n_slack):
         x[j], status[j] = _initial_value(lo_full[j], hi_full[j])
-
-    slack_col = np.full(m, -1, dtype=np.int64)
-    k = n
-    for i, s in enumerate(senses):
-        if s != "==":
-            slack_col[i] = k
-            k += 1
 
     # start from slack/surplus basics wherever the sign works out; rows that
     # cannot host their own slack get an artificial instead
@@ -425,55 +475,32 @@ def _solve_highs(model: LPModel, max_iterations: int) -> LPSolution:
     from scipy.optimize import linprog
 
     n = model.n_variables
-    lo, hi = model.bounds
-    bounds = [
-        (
-            None if not math.isfinite(lo[j]) else lo[j],
-            None if not math.isfinite(hi[j]) else hi[j],
-        )
-        for j in range(n)
-    ]
+    row_ptr, idx, cf, codes, b = model.row_arrays()
+    lengths = np.diff(row_ptr)
+    # ">=" rows enter HiGHS as "<=" rows with both sides negated
+    sign = np.where(codes == SENSES.index(">="), -1.0, 1.0)
+    signed = np.repeat(sign, lengths) * cf
 
-    ub_data: list[np.ndarray] = []
-    ub_rows: list[np.ndarray] = []
-    ub_cols: list[np.ndarray] = []
-    ub_rhs: list[float] = []
-    eq_data: list[np.ndarray] = []
-    eq_rows: list[np.ndarray] = []
-    eq_cols: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-    for row in model.rows():
-        if row.sense == "==":
-            eq_rows.append(np.full(row.indices.size, len(eq_rhs)))
-            eq_cols.append(row.indices)
-            eq_data.append(row.coeffs)
-            eq_rhs.append(row.rhs)
-        else:
-            sign = 1.0 if row.sense == "<=" else -1.0
-            ub_rows.append(np.full(row.indices.size, len(ub_rhs)))
-            ub_cols.append(row.indices)
-            ub_data.append(sign * row.coeffs)
-            ub_rhs.append(sign * row.rhs)
+    def _csr(keep: np.ndarray):
+        if not keep.any():
+            return None, None
+        entries = np.repeat(keep, lengths)
+        ptr = np.concatenate([[0], np.cumsum(lengths[keep])])
+        A = sp.csr_matrix((signed[entries], idx[entries], ptr), shape=(ptr.size - 1, n))
+        return A, sign[keep] * b[keep]
 
-    def _matrix(data, rows, cols, m):
-        if m == 0:
-            return None
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(m, n),
-        )
-
-    A_ub = _matrix(ub_data, ub_rows, ub_cols, len(ub_rhs))
-    A_eq = _matrix(eq_data, eq_rows, eq_cols, len(eq_rhs))
+    is_eq = codes == SENSES.index("==")
+    A_ub, b_ub = _csr(~is_eq)
+    A_eq, b_eq = _csr(is_eq)
 
     def run(presolve: bool):
         return linprog(
             model.objective,
             A_ub=A_ub,
-            b_ub=np.array(ub_rhs) if ub_rhs else None,
+            b_ub=b_ub,
             A_eq=A_eq,
-            b_eq=np.array(eq_rhs) if eq_rhs else None,
-            bounds=bounds,
+            b_eq=b_eq,
+            bounds=np.column_stack(model.bounds),
             method="highs",
             options={
                 "maxiter": max_iterations,

@@ -180,6 +180,23 @@ def test_study_rejects_delta_ladder_and_bad_factors(tmp_path):
                  str(tmp_path / "o"), "--quiet"]) == 1
 
 
+def test_study_rejects_bad_quad_points_up_front(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json", delta=0.7,
+                       grid={"cells_per_axis": 2},
+                       refinement_factors=[1, 2], quad_points=0)
+    assert main(["study", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    assert "$.quad_points" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o" / "study.json")
+
+
+def test_validate_rejects_bad_rect_budget(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json", rect_budget="x")
+    assert main(["validate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    assert "$.rect_budget" in capsys.readouterr().err
+
+
 def test_generate_two_uniforms(tmp_path):
     out = tmp_path / "gen"
     assert main(["generate", "two-uniforms", "--out", str(out),

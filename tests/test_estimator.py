@@ -21,6 +21,8 @@ from hypodist import (
     two_uniforms_scenario,
 )
 from hypodist.estimator import assemble_lp
+from hypodist.functions import interpolation_weights
+from hypodist.lp import SENSES
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,122 @@ def test_growth_rows_counted_once_per_edge():
     _, counts = assemble_lp(prob, 0.3)
     # 2x2 cells: 12 axis edges + 4 diagonals, one directed row each
     assert counts["growth"] == 16
+
+
+def reference_lp(problem, eta):
+    """Row-by-row build of the estimation LP in its documented row order:
+    monotone rows axis by axis, distribution rows, growth rows (axis-0
+    edges, axis-1 edges, diagonals), then per anchor each cell's lower row
+    followed by its upper row when kept."""
+    grid, shape, rho = problem.grid, problem.shape, problem.rho
+    dims, m, n = grid.shape, grid.dim, grid.n_nodes
+    rows, counts = [], dict.fromkeys(
+        ["monotone", "distribution", "growth", "target_lower", "target_upper",
+         "ambiguity_lower", "ambiguity_upper"], 0)
+    counts["slack_index"] = s = n
+
+    def add(group, idx, cf, sense, rhs):
+        rows.append((idx, cf, sense, float(rhs)))
+        counts[group] += 1
+
+    def node(*multi):
+        return int(np.ravel_multi_index(multi, dims))
+
+    lower = np.zeros(n + 1)
+    upper = np.ones(n + 1)
+    upper[-1] = np.inf
+    for j, x in enumerate(grid.node_lattice()):
+        if shape.boundary_zero and np.any(x == grid.domain.lower):
+            upper[j] = 0.0
+    if shape.boundary_one:
+        lower[n - 1] = upper[n - 1] = 1.0
+
+    for ax in range(m):
+        for multi in np.ndindex(*dims):
+            if multi[ax] < dims[ax] - 1:
+                nxt = list(multi)
+                nxt[ax] += 1
+                add("monotone", [node(*multi), node(*nxt)], [1.0, -1.0], "<=", 0.0)
+    cells = list(np.ndindex(*grid.cell_counts))
+    if shape.distribution_condition:
+        for c in cells:
+            if m == 1:
+                add("distribution", [c[0], c[0] + 1], [-1.0, 1.0], ">=", 0.0)
+            else:
+                i, j = c
+                add("distribution",
+                    [node(i, j), node(i + 1, j), node(i, j + 1), node(i + 1, j + 1)],
+                    [1.0, -1.0, -1.0, 1.0], ">=", 0.0)
+    L = shape.bounded_growth
+    if L is not None:
+        h = [np.diff(a) for a in grid.axes]
+        if m == 1:
+            for k in range(dims[0] - 1):
+                add("growth", [k, k + 1], [-1.0, 1.0], "<=", L * h[0][k])
+        else:
+            for i, j in np.ndindex(dims[0] - 1, dims[1]):
+                add("growth", [node(i, j), node(i + 1, j)], [-1.0, 1.0], "<=", L * h[0][i])
+            for i, j in np.ndindex(dims[0], dims[1] - 1):
+                add("growth", [node(i, j), node(i, j + 1)], [-1.0, 1.0], "<=", L * h[1][j])
+            for i, j in np.ndindex(dims[0] - 1, dims[1] - 1):
+                add("growth", [node(i, j), node(i + 1, j + 1)], [-1.0, 1.0], "<=",
+                    L * max(h[0][i], h[1][j]))
+
+    lower_pts, upper_pts = grid.cell_bounds()
+    for anchor, r, slack, tag in ((problem.F0, eta, False, "target"),
+                                  (problem.G0, problem.delta, True, "ambiguity")):
+        probe = np.clip(lower_pts + r, grid.domain.lower, grid.domain.upper)
+        w_nodes, w_vals = interpolation_weights(grid, probe)
+        at_u = np.atleast_1d(anchor.eval(upper_pts))
+        at_probe = np.atleast_1d(anchor.eval(probe))
+        extra_idx, extra_cf = ([s], [1.0]) if slack else ([], [])
+        for k, c in enumerate(cells):
+            add(f"{tag}_lower", list(w_nodes[k]) + extra_idx, list(w_vals[k]) + extra_cf,
+                ">=", min(at_u[k], rho) - r)
+            if at_probe[k] + r < rho:
+                add(f"{tag}_upper", [node(*np.add(c, 1))] + extra_idx,
+                    [1.0] + [-v for v in extra_cf], "<=", at_probe[k] + r)
+    return rows, (lower, upper), counts
+
+
+def _equivalence_cases():
+    g1 = build_grid(Domain([0.0], [1.0]), 9)
+    one_d = EstimationProblem(realize(UniformBox([0.0], [0.6]), g1),
+                              realize(UniformBox([0.3], [1.0]), g1), 0.2,
+                              shape=ShapeConstraints(bounded_growth=3.0))
+    g2 = build_grid(Domain([0.0, 0.0], [1.0, 2.0]), 4)
+    F = realize(UniformBox([0.0, 0.0], [0.6, 1.0]), g2)
+    G = realize(UniformBox([0.3, 0.5], [1.0, 2.0]), g2)
+    growth = ShapeConstraints(bounded_growth=2.0)
+    two_d = EstimationProblem(F, G, 0.2, shape=growth)
+    # rho between the anchors' values: some upper rows kept, some dropped
+    two_d_capped = EstimationProblem(F, G, 0.05, rho=0.6, shape=growth)
+    g3 = build_grid(Domain([0.0], [1.0]), 3)
+    F0 = realize(UniformBox([0.0], [1.0]), g3)
+    capped = EstimationProblem(
+        F0, F0, 0.5, rho=0.05,
+        shape=ShapeConstraints(boundary_zero=False, boundary_one=False,
+                               distribution_condition=False))
+    return [(one_d, 0.3), (two_d, 0.4), (two_d_capped, 0.25), (capped, 0.3)]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["1d-growth", "2d-growth",
+                                                 "2d-partly-capped", "capped"])
+def test_assembly_matches_row_by_row_reference(case):
+    problem, eta = _equivalence_cases()[case]
+    rows, (lower, upper), ref_counts = reference_lp(problem, eta)
+    model, counts = assemble_lp(problem, eta)
+    row_ptr, idx, cf, codes, rhs = model.row_arrays()
+    assert np.array_equal(row_ptr, np.cumsum([0] + [len(r[0]) for r in rows]))
+    assert np.array_equal(idx, np.concatenate([r[0] for r in rows]).astype(np.int64))
+    assert np.array_equal(cf, np.concatenate([r[1] for r in rows]))
+    assert [SENSES[c] for c in codes] == [r[2] for r in rows]
+    assert np.array_equal(rhs, [r[3] for r in rows])
+    lo, hi = model.bounds
+    assert np.array_equal(lo, lower) and np.array_equal(hi, upper)
+    assert counts == ref_counts
+    assert model.objective.tolist() == [0.0] * problem.grid.n_nodes + [1.0]
+    assert [r.indices.tolist() for r in model.rows()] == [list(r[0]) for r in rows]
 
 
 # ---------------------------------------------------------------------------

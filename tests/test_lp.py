@@ -87,6 +87,26 @@ def test_duplicate_indices_are_merged():
     assert sol.ok and sol.objective == pytest.approx(2.0, abs=1e-9)
 
 
+def test_dense_view_and_residuals_match_row_loop():
+    rng = np.random.default_rng(3)
+    m, _ = random_feasible_lp(rng, 7, 9)
+    m.add_constraint([0, 2, 0], [1.0, -2.0, 0.5], "==", 0.25)  # duplicate index
+    A, b, senses = m.dense_matrix()
+    x = rng.uniform(-1.0, 2.0, m.n_variables)
+    for i, row in enumerate(m.rows()):
+        dense_row = np.zeros(m.n_variables)
+        for j, c in zip(row.indices, row.coeffs):
+            dense_row[j] += c
+        assert np.array_equal(A[i], dense_row)
+        assert (b[i], senses[i]) == (row.rhs, row.sense)
+        gap = float(np.dot(row.coeffs, x[row.indices])) - row.rhs
+        want = {"<=": max(gap, 0.0), ">=": max(-gap, 0.0), "==": abs(gap)}[row.sense]
+        # summation order may differ from np.dot: allow a few ulps of the terms
+        scale = np.sum(np.abs(row.coeffs * x[row.indices])) + abs(row.rhs)
+        assert constraint_residuals(m, x)[i] == pytest.approx(
+            want, abs=8 * np.finfo(float).eps * scale)
+
+
 def test_model_validation():
     m = LPModel()
     with pytest.raises(ValueError):
@@ -102,6 +122,25 @@ def test_model_validation():
         m.add_constraint([x], [1.0], "<=", np.inf)
     with pytest.raises(ValueError):
         m.add_constraint([x], [1.0, 2.0], "<=", 1.0)
+    y = m.add_variable()
+    idx, cf = [[x, y], [y, x]], [[1.0, 1.0], [1.0, -1.0]]
+    m.add_constraints(idx, cf, ["<=", ">="], [1.0, 0.0])  # the valid batch
+    bad_batches = [
+        ([[x, y + 5], [y, x]], cf, "<=", 1.0),  # unknown variable
+        (idx, cf, ["<=", "!="], 1.0),  # bad sense
+        (idx, cf, "<=", [1.0, np.nan]),  # non-finite rhs
+        (idx, [[1.0, np.inf], [1.0, -1.0]], "<=", 1.0),  # non-finite coefficient
+        (idx, [[1.0, 1.0]], "<=", 1.0),  # coefficient shape mismatch
+        (idx, cf, ["<=", ">=", "=="], 1.0),  # one sense too many
+        (idx, cf, "<=", [1.0, 2.0, 3.0]),  # one rhs too many
+    ]
+    for batch in bad_batches:
+        with pytest.raises(ValueError):
+            m.add_constraints(*batch)
+    with pytest.raises(ValueError):  # row pointers that miss an entry
+        m.add_constraints([x, y, x], [1.0, 1.0, 1.0], "<=", [1.0, 1.0],
+                          row_ptr=[0, 1, 2])
+    assert m.n_constraints == 2
 
 
 def test_methods_agree_on_random_instances():
