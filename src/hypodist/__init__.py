@@ -44,7 +44,7 @@ from .grid import (
     mesh_size,
     refine,
 )
-from .lp import LPModel, LPSolution, brute_force_minimum, solve
+from .lp import LPModel, LPSolution, SolverError, brute_force_minimum, solve
 from .metrics import (
     DistanceReport,
     RhoBall,
@@ -114,6 +114,7 @@ __all__ = [
     # lp
     "LPModel",
     "LPSolution",
+    "SolverError",
     "brute_force_minimum",
     "solve",
     # estimator

@@ -11,7 +11,7 @@ Configs are JSON with a ``schema_version`` field; unknown keys anywhere are
 rejected so a typo in ``delta`` or ``bounded_growth`` cannot silently change
 an experiment.  Relative paths inside a config resolve against the config
 file's directory.  Exit codes: 0 success, 1 configuration error, 2
-shape-infeasible, 3 LP iteration limit.
+shape-infeasible, 3 LP iteration limit, 4 LP solver failure.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .functions import (
     save_grid_function,
 )
 from .grid import Domain, Grid, build_grid
+from .lp import SolverError
 from .metrics import (
     default_rho,
     dl_rho_oracle,
@@ -323,6 +324,22 @@ def _parse_common(cfg: dict, path: str):
     return domain, grid, F0, G0, rho, shape, tol, lp_method
 
 
+def _radii_and_samples(cfg: dict, domain: Domain, rho) -> tuple[list, int]:
+    """``rho_values`` (default: the config's rho, else the domain default)
+    and ``oracle_samples``, checked."""
+    rho_values = (
+        _float_list(cfg["rho_values"], "$.rho_values")
+        if "rho_values" in cfg
+        else [rho if rho is not None else default_rho(domain)]
+    )
+    if any(r <= 0 for r in rho_values):
+        _fail("$.rho_values", f"radii must be positive, got {rho_values}")
+    samples = cfg.get("oracle_samples", 9)
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
+        _fail("$.oracle_samples", f"must be an integer >= 2, got {samples!r}")
+    return rho_values, samples
+
+
 def _deltas(cfg: dict) -> list:
     raw = cfg["delta"]
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
@@ -422,9 +439,17 @@ def cmd_estimate(args) -> int:
 
     runs = []
     total_time = 0.0
+    # (delta, largest probed eta with slack above tol) per solved delta:
+    # slack does not decrease as delta shrinks, so that eta still has slack
+    # above tol at every smaller delta and starts its search
+    solved: list[tuple[float, float]] = []
     for delta in deltas:
         problem = _make_problem(F0, G0, delta, rho, shape, tol)
-        result = estimate(problem, method=lp_method)
+        lower = max((eta for d, eta in solved if d >= delta), default=0.0)
+        result = estimate(problem, method=lp_method, lower=lower)
+        solved.append((delta, max(
+            (eta for eta, s, _ in result.history if s > problem.tol), default=0.0
+        )))
         total_time += result.wall_time
         suffix = "" if len(deltas) == 1 else f"_delta_{delta:g}"
         sol_path = os.path.join(out, f"solution{suffix}.csv")
@@ -477,16 +502,7 @@ def cmd_distance(args) -> int:
     _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid",
                                       "F0", "G0"})
     domain, grid, F0, G0, rho, _shape, tol, _m = _parse_common(cfg, args.config)
-    rho_values = (
-        _float_list(cfg["rho_values"], "$.rho_values")
-        if "rho_values" in cfg
-        else [rho if rho is not None else default_rho(domain)]
-    )
-    if any(r <= 0 for r in rho_values):
-        _fail("$.rho_values", f"radii must be positive, got {rho_values}")
-    samples = cfg.get("oracle_samples", 9)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-        _fail("$.oracle_samples", f"must be an integer >= 2, got {samples!r}")
+    rho_values, samples = _radii_and_samples(cfg, domain, rho)
     quad_points = _positive_int(cfg, "quad_points", 32)
     out = _out_dir(args, cfg)
 
@@ -623,16 +639,7 @@ def cmd_validate(args) -> int:
     _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid",
                                       "F0", "G0"})
     domain, grid, F0, G0, rho, _shape, tol, _m = _parse_common(cfg, args.config)
-    rho_values = (
-        _float_list(cfg["rho_values"], "$.rho_values")
-        if "rho_values" in cfg
-        else [rho if rho is not None else default_rho(domain)]
-    )
-    if any(r <= 0 for r in rho_values):
-        _fail("$.rho_values", f"radii must be positive, got {rho_values}")
-    samples = cfg.get("oracle_samples", 9)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-        _fail("$.oracle_samples", f"must be an integer >= 2, got {samples!r}")
+    rho_values, samples = _radii_and_samples(cfg, domain, rho)
     budget = _positive_int(cfg, "rect_budget", 200_000)
     out = _out_dir(args, cfg)
 
@@ -686,16 +693,7 @@ def _write_samples_csv(path: str, points: np.ndarray) -> None:
 
 
 def cmd_generate(args) -> int:
-    out = args.out or "."
-    try:
-        os.makedirs(out, exist_ok=True)
-        probe = os.path.join(out, ".write_probe")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
-    except OSError as e:
-        print(f"output directory {out!r} not writable: {e}", file=sys.stderr)
-        return 1
+    out = _out_dir(args, {})
 
     seed = args.seed if args.seed is not None else 7
     if args.scenario == "two-uniforms":
@@ -807,6 +805,9 @@ def main(argv=None) -> int:
     except IterationLimitError as e:
         print(f"iteration limit: {e}", file=sys.stderr)
         return 3
+    except SolverError as e:
+        print(f"solver failure: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

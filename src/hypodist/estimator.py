@@ -13,14 +13,20 @@ encode "F is within shift eta of F0"; the analogous conditions with delta and
 G0 carry a shared nonnegative slack s.  At fixed eta everything is linear in
 the vertex values (off-node evaluations expand to interpolation weights over
 a triangle's vertices), so the least slack is a linear program; the estimate
-is the smallest eta whose minimal slack vanishes, found by binary search, or
-eta = 1 with positive slack when even the loosest shift cannot reconcile the
-constraints.
+is the smallest eta whose minimal slack vanishes, or eta = 1 with positive
+slack when even the loosest shift cannot reconcile the constraints.
 
 The minimal slack is nonincreasing in eta (relaxing the target conditions
-never tightens the ambiguity rows), which is what makes the binary search
-valid, and it is nondecreasing in shrinking delta, so the returned eta
-responds monotonically to the ambiguity radius.
+never tightens the ambiguity rows), which is what makes a bracketing search
+over eta valid.  The slack curve is simple: below a threshold eta_0 the
+system is infeasible (slack +inf), and above it the slack falls linearly or
+piecewise linearly to zero.  ``estimate`` therefore searches with a
+safeguarded secant on the part where the slack is finite and positive, and
+bisects where it has no slope to follow, such as across the jump at eta_0.
+The slack is also nondecreasing in shrinking delta, so the returned eta
+responds monotonically to the ambiguity radius, and a shift that leaves
+slack at one delta still leaves it at every smaller one: a delta ladder
+passes it down as the ``lower`` start of the next search.
 """
 
 from __future__ import annotations
@@ -188,8 +194,7 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
     # vertex variables; boundary flags become fixed bounds
     upper = np.ones(n_nodes)
     if shape.boundary_zero:
-        nodes = grid.node_lattice()
-        upper[np.any(nodes == dom.lower, axis=1)] = 0.0
+        upper[grid.lower_face_mask()] = 0.0
     lower = np.zeros(n_nodes)
     if shape.boundary_one:
         lower[-1] = upper[-1] = 1.0
@@ -329,11 +334,16 @@ def _solve_at(
             f"LP iteration budget exhausted at shift eta={eta:.6g}"
         )
     if sol.status != "optimal":
-        raise RuntimeError(f"unexpected LP status {sol.status!r}")
+        raise lp.SolverError(
+            f"unexpected LP status {sol.status!r} at shift eta={eta:.6g}"
+        )
     x = sol.x
     s = max(float(x[counts["slack_index"]]), 0.0)
     values = np.clip(x[: problem.grid.n_nodes], 0.0, 1.0).reshape(problem.grid.shape)
-    F = GridFunction(problem.grid, 1, values, monotone=True)
+    try:
+        F = GridFunction(problem.grid, 1, values, monotone=True)
+    except ValueError as e:
+        raise lp.SolverError(f"LP solution at shift eta={eta:.6g}: {e}") from e
     return s, F, sol.iterations
 
 
@@ -342,11 +352,45 @@ def estimate(
     *,
     method: str = "auto",
     max_iterations: int = 200_000,
+    lower: float = 0.0,
 ) -> EstimateResult:
     """Smallest shift eta whose minimal ambiguity slack vanishes (within the
     problem tolerance), or eta = 1 with the positive residual slack when the
     ambiguity ball is too tight for the shape constraints.
+
+    The first probe is eta = 1; when its slack exceeds tol, that is the
+    answer.  Otherwise the search keeps a bracket (lo, hi] with slack above
+    tol (or an infeasible system) at lo and slack at most tol at hi, and
+    stops once hi - lo <= tol, so the returned eta is hi and lies within
+    tol of the true threshold, as with plain bisection.  Each probe is
+    chosen (Brent 1973, *Algorithms for Minimization without Derivatives*)
+    from the probes whose slack is finite and above tol:
+
+    - none: bisect, so a curve without such points, such as the jump from
+      infeasible to zero slack at eta_0, is searched exactly as by plain
+      bisection;
+    - one: step 1/16 of the bracket up from lo, which either gives the
+      second point or shrinks the bracket sixteenfold;
+    - two or more: follow the secant through the last two to slack = tol,
+      kept at least tol/2 inside the bracket, so that an accurate estimate
+      is confirmed by one short step.  When the secant puts the root at or
+      past hi, step tol/2 below hi if hi's slack is above tol/2 (hi is on
+      the slope just past the root), and bisect if it is not (the secant
+      overshot into the zero-slack part, as it does where the curve
+      steepens).
+
+    It also bisects whenever the last two probes together neither halved
+    the bracket nor halved lo's slack in excess of tol.
+
+    ``lower`` is a shift the caller expects to leave slack above tol, such
+    as the largest such probe of an estimate at a larger delta of the same
+    ladder (slack does not decrease as delta shrinks).  The search probes
+    it after eta = 1: if the probe confirms it, it becomes lo, and if not,
+    the search goes on in [0, lower].  A wrong hint costs probes, never
+    correctness.
     """
+    if not (0.0 <= lower <= 1.0):
+        raise ValueError(f"lower must lie in [0, 1], got {lower}")
     t0 = time.perf_counter()
     eps = problem.tol
     history: list[tuple[float, float, int]] = []
@@ -365,20 +409,31 @@ def estimate(
 
     lo, hi = 0.0, 1.0
     best = (1.0, s1, F1)
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
+    s_lo = math.inf  # slack at lo: inf while lo is 0 or infeasible
+    points: list[tuple[float, float]] = []  # probes with tol < slack < inf
+    trail = [(hi - lo, s_lo)]  # bracket width and slack at lo per probe
+
+    def probe(eta: float) -> None:
+        nonlocal lo, hi, best, s_lo
         try:
             s, F, it = _solve_at(
-                problem, mid, method=method, max_iterations=max_iterations
+                problem, eta, method=method, max_iterations=max_iterations
             )
         except ShapeInfeasibleError:
             s, F, it = math.inf, None, 0
-        history.append((mid, s, it))
-        if s <= eps and F is not None:
-            hi = mid
-            best = (mid, s, F)
+        history.append((eta, s, it))
+        if s <= eps:
+            hi, best = eta, (eta, s, F)
         else:
-            lo = mid
+            lo, s_lo = eta, s
+            if s < math.inf:
+                points.append((eta, s))
+        trail.append((hi - lo, s_lo))
+
+    if 0.0 < lower < 1.0:
+        probe(lower)
+    while hi - lo > eps:
+        probe(_next_shift(lo, hi, best[1], points, trail, eps))
     eta_star, s_star, F_star = best
     _warn_if_shape_violated(problem, F_star)
     logger.info(
@@ -388,6 +443,40 @@ def estimate(
         len(history),
     )
     return EstimateResult(F_star, eta_star, s_star, history, time.perf_counter() - t0)
+
+
+# with one point, the next probe goes this share of the bracket up from lo:
+# it either yields the second point a secant needs or shrinks the bracket
+# sixteenfold, where a bisection halves it
+_FIRST_STEP = 1.0 / 16.0
+
+
+def _next_shift(
+    lo: float, hi: float, s_hi: float, points: list, trail: list, eps: float
+) -> float:
+    """Next probe of ``estimate``'s search in the bracket (lo, hi]."""
+    mid = 0.5 * (lo + hi)
+    if len(trail) >= 3:
+        (w_old, s_old), (w_new, s_new) = trail[-3], trail[-1]
+        if w_new > 0.5 * w_old and not (
+            s_new < math.inf and s_new - eps <= 0.5 * (s_old - eps)
+        ):
+            return mid  # neither the bracket nor lo's excess slack halved
+    if not points:
+        return mid
+    if len(points) == 1:
+        return lo + _FIRST_STEP * (hi - lo)
+    (x0, s0), (x1, s1) = points[-2:]
+    slope = (s1 - s0) / (x1 - x0)
+    if not slope < 0.0:
+        return mid
+    x = x1 + (eps - s1) / slope
+    if x < hi:
+        return min(max(x, lo + 0.5 * eps), hi - 0.5 * eps)
+    # the secant puts the root at or past hi: with slack near tol there, hi
+    # sits on the slope just past the root and a short step confirms it;
+    # with slack near zero the secant overshot into the flat part
+    return hi - 0.5 * eps if s_hi > 0.5 * eps else mid
 
 
 def shape_violation(problem: EstimationProblem, F: GridFunction) -> float:
@@ -401,10 +490,7 @@ def shape_violation(problem: EstimationProblem, F: GridFunction) -> float:
         if d.size:
             worst = max(worst, -float(np.min(d)))
     if shape.boundary_zero:
-        nodes = grid.node_lattice()
-        on_face = np.zeros(grid.n_nodes, dtype=bool)
-        for i in range(grid.dim):
-            on_face |= nodes[:, i] == grid.domain.lower[i]
+        on_face = grid.lower_face_mask()
         worst = max(worst, float(np.max(np.abs(v.reshape(-1)[on_face]))))
     if shape.boundary_one:
         worst = max(worst, abs(float(v.reshape(-1)[-1]) - 1.0))

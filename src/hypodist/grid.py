@@ -203,6 +203,11 @@ class Grid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def lower_face_mask(self) -> np.ndarray:
+        """Boolean (n_nodes,) mask, C-order, of the nodes on a face through
+        the domain's lower corner (some coordinate at its lower bound)."""
+        return np.any(self.node_lattice() == self.domain.lower, axis=1)
+
     def node_index(self, multi: Sequence[int]) -> int:
         """Flat C-order index of a node from its per-axis indices."""
         return int(np.ravel_multi_index(tuple(int(i) for i in multi), self.shape))

@@ -42,6 +42,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "LPModel",
     "LPSolution",
+    "SolverError",
     "solve",
     "constraint_residuals",
     "brute_force_minimum",
@@ -467,6 +468,10 @@ def _solve_simplex(model: LPModel, max_iterations: int) -> LPSolution:
     return LPSolution("optimal", xs, obj, iterations, duals=y)
 
 
+class SolverError(RuntimeError):
+    """The LP backend failed, or its output cannot be used."""
+
+
 # -- HiGHS adapter ----------------------------------------------------------------
 
 
@@ -520,7 +525,7 @@ def _solve_highs(model: LPModel, max_iterations: int) -> LPSolution:
         res = run(presolve=False)
         status = status_map.get(res.status)
     if status is None:
-        raise RuntimeError(f"LP backend failed: {res.message}")
+        raise SolverError(f"LP backend failed: {res.message}")
     x = np.asarray(res.x, dtype=float) if status == "optimal" else None
     obj = float(res.fun) if status == "optimal" else math.nan
     nit = int(getattr(res, "nit", 0) or 0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+import math
 import os
 
 import numpy as np
@@ -74,6 +75,27 @@ def test_estimate_delta_ladder_and_determinism(tmp_path):
                        out2 / "solution_delta_1.csv", shallow=False)
 
 
+def test_ladder_matches_single_delta_estimates(tmp_path):
+    # each delta of a ladder starts from the slack-side etas of the larger
+    # deltas before it (out of order here, so 0.7 may use only 1.0's); its
+    # eta must equal a fresh single-delta estimate within tol
+    deltas = [1.0, 0.4, 0.7, 0.1]
+    cfg = write_config(tmp_path / "ladder.json", delta=deltas)
+    assert main(["estimate", "--config", str(cfg), "--out",
+                 str(tmp_path / "ladder"), "--quiet"]) == 0
+    runs = json.load(open(tmp_path / "ladder" / "result.json"))["runs"]
+    for run in runs:
+        name = f"single_{run['delta']:g}"
+        cfg = write_config(tmp_path / f"{name}.json", delta=run["delta"])
+        assert main(["estimate", "--config", str(cfg), "--out",
+                     str(tmp_path / name), "--quiet"]) == 0
+        (single,) = json.load(open(tmp_path / name / "result.json"))["runs"]
+        assert abs(run["eta"] - single["eta"]) <= 1e-8
+    by_delta = sorted(runs, key=lambda r: -r["delta"])
+    etas = [r["eta"] for r in by_delta]
+    assert all(b >= a for a, b in zip(etas, etas[1:])), etas
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"schema_version": 1,\n  "grid": }\n')
@@ -117,6 +139,41 @@ def test_iteration_limit_exit_code(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "run.json")
     assert main(["estimate", "--config", str(cfg), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("failure", ["status", "backend", "non-monotone"])
+def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
+    # an LP status the estimator cannot use, a backend that gives up, and
+    # a solution that is not monotone all exit 4 with one line, not a
+    # traceback
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    from hypodist import lp
+
+    real_solve = lp.solve
+
+    def fake_solve(model, **kw):
+        if failure == "status":
+            return lp.LPSolution("unbounded", None, math.nan, 0)
+        sol = real_solve(model, **kw)
+        x = sol.x.copy()
+        x[: x.size - 1] = np.linspace(1.0, 0.0, x.size - 1)  # node values
+        return lp.LPSolution(sol.status, x, sol.objective, sol.iterations)
+
+    def failing_linprog(*args, **kwargs):
+        return OptimizeResult(status=4, message="numerical difficulties",
+                              x=None, fun=None, nit=0)
+
+    if failure == "backend":
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+    else:
+        monkeypatch.setattr(lp, "solve", fake_solve)
+    cfg = write_config(tmp_path / "run.json")
+    assert main(["estimate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("solver failure: ") and "\n" not in err
 
 
 def test_distance_identical_sources(tmp_path):

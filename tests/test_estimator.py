@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypodist import (
     Domain,
@@ -320,6 +324,85 @@ def test_estimate_is_deterministic(two_uniforms_10):
     r2 = estimate(EstimationProblem(F0, G0, 0.4))
     assert r1.eta == r2.eta
     assert np.array_equal(r1.solution.values, r2.solution.values)
+
+
+# ---------------------------------------------------------------------------
+# the search over eta
+# ---------------------------------------------------------------------------
+
+
+def reference_bisection(problem):
+    """Plain bisection over eta to a bracket of width tol, first probe at
+    eta = 1: the threshold ``estimate`` must find to within tol."""
+    eps = problem.tol
+    if min_slack(problem, 1.0)[0] > eps:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > eps:
+        mid = 0.5 * (lo + hi)
+        try:
+            s = min_slack(problem, mid)[0]
+        except ShapeInfeasibleError:
+            s = math.inf
+        if s <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.7, 0.4, 0.1, None],
+                         ids=["1.0", "0.7", "0.4", "0.1", "identity"])
+def test_search_matches_reference_bisection(two_uniforms_10, delta):
+    # 1.0 stops at the infeasibility threshold eta_0 (no finite slope to
+    # follow), 0.7 and 0.4 on the linear slack curve, 0.1 saturates
+    if delta is None:
+        prob = identity_problem()
+    else:
+        prob = EstimationProblem(*two_uniforms_10, delta)
+    assert abs(estimate(prob).eta - reference_bisection(prob)) <= prob.tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cells=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    share=st.floats(0.5, 1.0),
+)
+def test_search_matches_reference_bisection_on_random_pairs(seed, cells, share):
+    from tests.conftest import random_monotone
+
+    rng = np.random.default_rng(seed)
+    g = build_grid(Domain([0.0, 0.0], [1.0, 1.0]), [c + 1 for c in cells])
+    # full-mass CDFs, like the estimate itself; a delta of half to all of
+    # their shift distance mixes saturated estimates, thresholds at eta_0
+    # and sloped slack curves
+    F0, G0 = (random_monotone(rng, g) for _ in range(2))
+    F0, G0 = (GridFunction(g, 1, f.values / f.values.max(), monotone=True)
+              for f in (F0, G0))
+    delta = share * eta_plus(F0, G0, EstimationProblem(F0, G0, 0.0).rho)
+    prob = EstimationProblem(F0, G0, delta)
+    assert abs(estimate(prob).eta - reference_bisection(prob)) <= prob.tol
+
+
+def test_search_probe_count(two_uniforms_10):
+    # the slack curve at delta 0.7 is linear above eta_0; plain bisection
+    # takes 28 probes to reach the default tol 1e-8
+    res = estimate(EstimationProblem(*two_uniforms_10, 0.7))
+    assert len(res.history) <= 12
+
+
+@pytest.mark.parametrize("lower", [0.2, 0.6], ids=["right", "wrong"])
+def test_lower_hint(two_uniforms_10, lower):
+    # eta = 0.2 leaves slack above tol at delta 0.7, eta = 0.6 does not;
+    # either way the hint is probed right after eta = 1 and the answer holds
+    prob = EstimationProblem(*two_uniforms_10, 0.7)
+    assert (min_slack(prob, lower)[0] > prob.tol) == (lower == 0.2)
+    res = estimate(prob, lower=lower)
+    assert res.history[1][0] == lower
+    assert abs(res.eta - reference_bisection(prob)) <= prob.tol
+    with pytest.raises(ValueError):
+        estimate(prob, lower=1.5)
 
 
 # ---------------------------------------------------------------------------
