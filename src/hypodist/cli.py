@@ -10,8 +10,8 @@ Subcommands
 Configs are JSON with a ``schema_version`` field; unknown keys anywhere are
 rejected so a typo in ``delta`` or ``bounded_growth`` cannot silently change
 an experiment.  Relative paths inside a config resolve against the config
-file's directory.  Exit codes: 0 success, 1 configuration error, 2
-shape-infeasible, 3 LP iteration limit, 4 LP solver failure.
+file's directory.  Exit codes: 0 success, 1 configuration or usage error,
+2 shape-infeasible, 3 LP iteration limit, 4 LP solver failure.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .functions import (
     EmpiricalSamples,
     GridFunction,
     Mixture,
-    SampleSet,
     UniformBox,
+    cell_masses,
     empirical_cdf,
     expected_value,
     load_grid_function,
@@ -47,7 +47,7 @@ from .functions import (
     resample,
     save_grid_function,
 )
-from .grid import Domain, Grid, build_grid
+from .grid import Domain, Grid, build_grid, refine
 from .lp import SolverError
 from .metrics import (
     default_rho,
@@ -232,7 +232,7 @@ def _resolve_source(obj, where: str, grid: Grid, base_dir: str) -> GridFunction:
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             points = _read_samples_csv(path, where)
-            return empirical_cdf(SampleSet(points), grid)
+            return empirical_cdf(points, grid)
         if kind == "grid_function":
             _check_keys(obj, where, {"kind", "path"}, {"path"})
             path = obj["path"]
@@ -378,41 +378,30 @@ def _dump_json(obj, path: str) -> None:
         fh.write("\n")
 
 
-def _write_surface(path: str, f: GridFunction) -> None:
-    """Whitespace-delimited node lattice for surface plots, blocked per row."""
-    grid = f.grid
-    v = f.values
+def _write_plot(path: str, axes, values: np.ndarray) -> None:
+    """gnuplot-ready ``x1 [x2] value`` rows over the lattice of ``axes``, in
+    C order; in 2-D a blank line follows each row of axis 0."""
     with open(path, "w") as fh:
-        if grid.dim == 1:
-            for x, val in zip(grid.axes[0], v):
-                fh.write(f"{x!r} {float(val)!r}\n")
+        if len(axes) == 1:
+            for x, v in zip(axes[0], values):
+                fh.write(f"{float(x)!r} {float(v)!r}\n")
         else:
-            a1, a2 = grid.axes
-            for i, x1 in enumerate(a1):
-                for j, x2 in enumerate(a2):
-                    fh.write(f"{x1!r} {x2!r} {float(v[i, j])!r}\n")
+            for x1, row in zip(axes[0], values):
+                for x2, v in zip(axes[1], row):
+                    fh.write(f"{float(x1)!r} {float(x2)!r} {float(v)!r}\n")
                 fh.write("\n")
 
 
-def _write_cell_mass(path: str, f: GridFunction) -> None:
-    """Per-cell probability mass at cell centroids, for heat maps."""
-    grid = f.grid
-    mass = f.values
-    for ax in range(grid.dim):
-        mass = np.diff(mass, axis=ax)
-    lower, upper = grid.cell_bounds()
-    centers = 0.5 * (lower + upper)
-    flat = mass.reshape(-1)
-    with open(path, "w") as fh:
-        if grid.dim == 1:
-            for c, mv in zip(centers[:, 0], flat):
-                fh.write(f"{c!r} {float(mv)!r}\n")
-        else:
-            n2 = grid.cell_counts[1]
-            for k, (c, mv) in enumerate(zip(centers, flat)):
-                fh.write(f"{c[0]!r} {c[1]!r} {float(mv)!r}\n")
-                if (k + 1) % n2 == 0:
-                    fh.write("\n")
+def _sandwich_record(rep) -> dict:
+    return {
+        "eta_minus": rep.eta_minus,
+        "hat_rho": rep.hat_rho,
+        "eta_plus": rep.eta_plus,
+        "oracle": rep.oracle,
+        "hat_two_rho": rep.hat_two_rho,
+        "lattice_slack": rep.lattice_slack,
+        "violations": list(rep.violations),
+    }
 
 
 def _expected_value_or_none(f: GridFunction):
@@ -455,9 +444,10 @@ def cmd_estimate(args) -> int:
         sol_path = os.path.join(out, f"solution{suffix}.csv")
         save_grid_function(result.solution, sol_path)
         surf_path = os.path.join(out, f"surface{suffix}.dat")
-        _write_surface(surf_path, result.solution)
+        _write_plot(surf_path, grid.axes, result.solution.values)
         mass_path = os.path.join(out, f"cell_mass{suffix}.dat")
-        _write_cell_mass(mass_path, result.solution)
+        centers = [0.5 * (a[:-1] + a[1:]) for a in grid.axes]
+        _write_plot(mass_path, centers, cell_masses(result.solution))
         record = {
             "delta": delta,
             "eta": result.eta,
@@ -575,8 +565,6 @@ def cmd_study(args) -> int:
         problem, factors, method=lp_method, quad_points=quad_points
     )
 
-    from .grid import refine  # local import keeps the module header lean
-
     def validate_level(item) -> dict:
         factor, result = item
         g = refine(grid, factor)
@@ -592,15 +580,7 @@ def cmd_study(args) -> int:
             "distribution_error_pct": distribution_error_pct(
                 result.solution, budget=budget
             ),
-            "sandwich": {
-                "eta_minus": sandwich.eta_minus,
-                "hat_rho": sandwich.hat_rho,
-                "eta_plus": sandwich.eta_plus,
-                "oracle": sandwich.oracle,
-                "hat_two_rho": sandwich.hat_two_rho,
-                "lattice_slack": sandwich.lattice_slack,
-                "violations": list(sandwich.violations),
-            },
+            "sandwich": _sandwich_record(sandwich),
         }
 
     levels = parallel_map(validate_level, list(zip(factors, report.results)))
@@ -645,16 +625,7 @@ def cmd_validate(args) -> int:
 
     def sandwich_at(r: float) -> dict:
         rep = verify_sandwich(F0, G0, r, samples_per_axis=samples, tol=tol)
-        return {
-            "rho": r,
-            "eta_minus": rep.eta_minus,
-            "hat_rho": rep.hat_rho,
-            "eta_plus": rep.eta_plus,
-            "oracle": rep.oracle,
-            "hat_two_rho": rep.hat_two_rho,
-            "lattice_slack": rep.lattice_slack,
-            "violations": list(rep.violations),
-        }
+        return {"rho": r, **_sandwich_record(rep)}
 
     try:
         sandwiches = parallel_map(sandwich_at, rho_values)
@@ -766,7 +737,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--quiet", action="store_true", help="warnings only")
 
     p = sub.add_parser("estimate", help="solve an estimation config")
@@ -783,13 +753,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
     p = sub.add_parser("generate", help="write ready-to-run scenario inputs")
     p.add_argument("scenario", help="two-uniforms | uuv-synthetic")
+    p.add_argument("--seed", type=int, default=None,
+                   help="sample seed (default 7)")
     common(p, needs_config=False)
     p.set_defaults(fn=cmd_generate)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, which here means shape-infeasible
+        return 0 if e.code in (0, None) else 1
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

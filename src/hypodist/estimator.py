@@ -34,12 +34,18 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
-from .functions import GridFunction, interpolation_weights, resample
+from .functions import (
+    GridFunction,
+    _axis_increments,
+    cell_masses,
+    interpolation_weights,
+    resample,
+)
 from .grid import Grid, refine
 from .metrics import DistanceReport, RhoBall, default_rho, hypo_dist_estimate
 
@@ -199,7 +205,7 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
     if shape.boundary_one:
         lower[-1] = upper[-1] = 1.0
     model.add_variables(lower, upper)
-    s_idx = model.add_variable(lower=0.0, upper=math.inf, objective=1.0, name="s")
+    s_idx = model.add_variable(lower=0.0, upper=math.inf, objective=1.0)
 
     counts = {
         "monotone": 0,
@@ -484,22 +490,14 @@ def shape_violation(problem: EstimationProblem, F: GridFunction) -> float:
     shape = problem.shape
     grid = problem.grid
     v = F.values
-    worst = 0.0
-    for ax in range(grid.dim):
-        d = np.diff(v, axis=ax)
-        if d.size:
-            worst = max(worst, -float(np.min(d)))
+    worst = max(0.0, -_axis_increments(v))
     if shape.boundary_zero:
         on_face = grid.lower_face_mask()
         worst = max(worst, float(np.max(np.abs(v.reshape(-1)[on_face]))))
     if shape.boundary_one:
         worst = max(worst, abs(float(v.reshape(-1)[-1]) - 1.0))
     if shape.distribution_condition:
-        mass = v
-        for ax in range(grid.dim):
-            mass = np.diff(mass, axis=ax)
-        if mass.size:
-            worst = max(worst, -float(np.min(mass)))
+        worst = max(worst, -float(np.min(cell_masses(F))))
     L = shape.bounded_growth
     if L is not None:
         if grid.dim == 1:

@@ -32,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import Domain, Grid, Rect, locate_batch
+from .grid import Grid, Rect, locate_batch
 
 __all__ = [
     "GridFunction",
@@ -46,6 +46,7 @@ __all__ = [
     "empirical_cdf",
     "upper_envelope",
     "delta_rect",
+    "cell_masses",
     "expected_value",
     "interpolation_weights",
     "resample",
@@ -162,13 +163,6 @@ class GridFunction:
             lag[ax] = slice(None, -1)
             v = np.maximum(v[tuple(lead)], v[tuple(lag)])
         return v
-
-    def value_at_upper_corner(self) -> float:
-        """f(b) for order 1, or the last cell value for order 0."""
-        return float(self.values.reshape(-1)[-1])
-
-    def is_monotone(self, *, atol: float = MONOTONE_ATOL) -> bool:
-        return _axis_increments(self.values) >= -atol
 
     def with_monotone_flag(self) -> "GridFunction":
         """Copy of this function with the monotone flag switched on (checked)."""
@@ -292,34 +286,31 @@ class EmpiricalSamples:
 CdfSpec = Union[UniformBox, DiracPoint, Mixture, EmpiricalSamples]
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """A finite sample in R^m with an optional label."""
-
-    points: np.ndarray
-    label: str = ""
-
-    def __init__(self, points: np.ndarray, label: str = "") -> None:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("sample set needs a nonempty (N, m) array")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "label", str(label))
-
-    @property
-    def size(self) -> int:
-        return int(self.points.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.points.shape[1])
+# the sample container of ``empirical_cdf``; one type serves both roles
+SampleSet = EmpiricalSamples
 
 
 # -- constructions --------------------------------------------------------------
+
+
+def _node_fractions(pts: np.ndarray, grid: Grid) -> np.ndarray:
+    """Fraction of the (N, m) samples lying componentwise below each node.
+
+    Each sample goes to the first node at or above it on every axis, and a
+    cumulative sum along every axis then counts s <= node exactly.  A sample
+    above the domain on some axis lies below no node and is dropped; a
+    coordinate below the domain counts from the first node on.
+    """
+    pos = np.stack(
+        [np.searchsorted(grid.axes[i], pts[:, i], side="left") for i in range(grid.dim)],
+        axis=1,
+    )
+    keep = np.all(pos < grid.shape, axis=1)
+    counts = np.zeros(grid.shape, dtype=np.int64)
+    np.add.at(counts, tuple(pos[keep].T), 1)
+    for ax in range(grid.dim):
+        counts = np.cumsum(counts, axis=ax)
+    return counts.astype(float) / pts.shape[0]
 
 
 def realize(spec: CdfSpec, grid: Grid) -> GridFunction:
@@ -331,38 +322,26 @@ def realize(spec: CdfSpec, grid: Grid) -> GridFunction:
     """
     if spec.dim != grid.dim:
         raise ValueError(f"spec dimension {spec.dim} != grid dimension {grid.dim}")
-    vals = spec.cdf(grid.node_lattice()).reshape(grid.shape)
+    if isinstance(spec, EmpiricalSamples):
+        vals = _node_fractions(spec.points, grid)
+    else:
+        vals = spec.cdf(grid.node_lattice()).reshape(grid.shape)
     return GridFunction(grid, 1, vals, monotone=True)
 
 
-def empirical_cdf(samples: SampleSet | np.ndarray, grid: Grid) -> GridFunction:
+def empirical_cdf(samples: EmpiricalSamples | np.ndarray, grid: Grid) -> GridFunction:
     """Order-1 realization of the empirical CDF of an in-domain sample.
 
     Node values are exact counts; samples must lie inside the grid's domain.
     """
-    pts = samples.points if isinstance(samples, SampleSet) else np.asarray(samples, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != grid.dim:
-        raise ValueError(f"samples have dimension {pts.shape[1]}, grid has {grid.dim}")
+    if not isinstance(samples, EmpiricalSamples):
+        samples = EmpiricalSamples(samples)
+    if samples.dim != grid.dim:
+        raise ValueError(f"samples have dimension {samples.dim}, grid has {grid.dim}")
     lo, hi = grid.domain.lower, grid.domain.upper
-    if np.any(pts < lo) or np.any(pts > hi):
+    if np.any(samples.points < lo) or np.any(samples.points > hi):
         raise ValueError("samples outside the domain; clip or enlarge the domain first")
-    # histogram of samples scattered to the first node >= the sample per axis,
-    # then a cumulative sum along every axis counts s <= node exactly
-    counts = np.zeros(grid.shape, dtype=np.int64)
-    pos = tuple(
-        np.minimum(
-            np.searchsorted(grid.axes[i], pts[:, i], side="left"),
-            grid.shape[i] - 1,
-        )
-        for i in range(grid.dim)
-    )
-    np.add.at(counts, pos, 1)
-    for ax in range(grid.dim):
-        counts = np.cumsum(counts, axis=ax)
-    vals = counts.astype(float) / pts.shape[0]
-    return GridFunction(grid, 1, vals, monotone=True)
+    return realize(samples, grid)
 
 
 def upper_envelope(f: GridFunction) -> GridFunction:
@@ -381,8 +360,9 @@ def delta_rect(f: GridFunction, rect: Rect) -> float:
     return float(np.dot(rect.signs.astype(float), np.atleast_1d(vals)))
 
 
-def _cell_masses(f: GridFunction) -> np.ndarray:
-    """Signed corner sums over all grid cells at once (order 1 only)."""
+def cell_masses(f: GridFunction) -> np.ndarray:
+    """Signed corner sums over all grid cells at once, cell-lattice shaped
+    (order 1 only); for a CDF these are the cells' probability masses."""
     if f.order != 1:
         raise ValueError("cell masses need node values (order 1)")
     mass = f.values
@@ -398,7 +378,7 @@ def expected_value(f: GridFunction, *, neg_tol: float = 1e-9) -> np.ndarray:
     ``-neg_tol``) are clipped to zero, anything worse raises.  Masses are
     renormalized and averaged against cell centroids.
     """
-    mass = _cell_masses(f)
+    mass = cell_masses(f)
     worst = float(np.min(mass)) if mass.size else 0.0
     if worst < -neg_tol:
         raise ValueError(

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class LPModel:
         self._lower: list[float] = []
         self._upper: list[float] = []
         self._objective: list[float] = []
-        self._names: dict[int, str] = {}
         # row blocks (lengths, indices, coeffs, sense codes, rhs)
         self._blocks = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
                          np.zeros(0), np.zeros(0, np.int8), np.zeros(0))]
@@ -100,12 +99,8 @@ class LPModel:
         lower: float = 0.0,
         upper: float = math.inf,
         objective: float = 0.0,
-        name: str = "",
     ) -> int:
-        j = self.add_variables([lower], [upper], objective)[0]
-        if name:
-            self._names[j] = name
-        return j
+        return self.add_variables([lower], [upper], objective)[0]
 
     def add_variables(self, lower, upper, objective=0.0) -> range:
         """Append one variable per entry of ``lower``/``upper`` (objective
@@ -219,31 +214,6 @@ class LPModel:
         A = np.zeros((self.n_constraints, self.n_variables))
         np.add.at(A, (self._entry_rows(), idx), cf)
         return A, b.copy(), np.asarray(SENSES)[codes]
-
-    def to_text(self) -> str:
-        """Human-readable dump, mainly for debugging small models."""
-        def var(j: int) -> str:
-            return self._names.get(j, f"x{j}")
-
-        lines = [f"minimize  ({self.name})"]
-        terms = [
-            f"{c:+g} {var(j)}"
-            for j, c in enumerate(self._objective)
-            if c != 0.0
-        ]
-        lines.append("  " + (" ".join(terms) if terms else "0"))
-        lines.append("subject to")
-        for i, row in enumerate(self.rows()):
-            body = " ".join(
-                f"{c:+g} {var(j)}" for j, c in zip(row.indices, row.coeffs)
-            )
-            lines.append(f"  r{i}: {body} {row.sense} {row.rhs:g}")
-        lines.append("bounds")
-        for j in range(self.n_variables):
-            lines.append(
-                f"  {self._lower[j]:g} <= {var(j)} <= {self._upper[j]:g}"
-            )
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -546,14 +516,11 @@ def solve(
     *,
     max_iterations: int = 100_000,
     method: str = "auto",
-    debug_dump: bool = False,
 ) -> LPSolution:
     """Minimize the model.  ``method``: "simplex" (bundled), "highs"
     (scipy-backed), or "auto" (highs when importable, else simplex)."""
     if model.n_variables == 0:
         raise ValueError("model has no variables")
-    if debug_dump:
-        logger.debug("LP model dump:\n%s", model.to_text())
     if method == "auto":
         method = "highs" if _highs_available() else "simplex"
     if method == "highs":

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import GridFunction
-from .grid import Domain, Grid, locate_batch
+from .grid import Domain, locate_batch
 
 logger = logging.getLogger(__name__)
 
@@ -904,23 +904,15 @@ def hypo_dist_estimate(
     def hat(r: float) -> float:
         return hats[float(min(r, rho_bar))]
 
+    hat_a = np.array([hat(v) for v in a])
+    hat_2b = np.array([hat(2 * v) for v in b])
+    hat_mids = np.array([hat(v) for v in mids])
+    hat_2mids = np.array([hat(2 * v) for v in mids])
     w = np.exp(-a) - np.exp(-b)
     tail = math.exp(-rho_bar) * hat(rho_bar)
-    lower = float(np.sum(w * np.array([hat(v) for v in a]))) + tail
-    upper = float(np.sum(w * np.array([hat(2 * v) for v in b]))) + tail
-    value = (
-        float(
-            np.sum(
-                w
-                * 0.5
-                * (
-                    np.array([hat(v) for v in mids])
-                    + np.array([hat(2 * v) for v in mids])
-                )
-            )
-        )
-        + tail
-    )
+    lower = float(np.sum(w * hat_a)) + tail
+    upper = float(np.sum(w * hat_2b)) + tail
+    value = float(np.sum(w * 0.5 * (hat_mids + hat_2mids))) + tail
     if not (lower - 1e-12 <= value <= upper + 1e-12):
         raise AssertionError(
             f"bracket violated: {lower} <= {value} <= {upper} should hold"
@@ -932,13 +924,10 @@ def hypo_dist_estimate(
         upper,
         len(hats),
     )
-    quad_term = float(
-        np.sum(w * (np.array([hat(2 * v) for v in b]) - np.array([hat(v) for v in a])))
-    )
     return DistanceReport(
         value=value,
         lower_bound=lower,
         upper_bound=upper,
         method=f"shift-sandwich-quadrature-{quad_points}",
-        quad_term=quad_term,
+        quad_term=float(np.sum(w * (hat_2b - hat_a))),
     )

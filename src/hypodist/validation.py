@@ -12,7 +12,6 @@ motivates estimating with hypograph distances in the first place.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from hypodist import load_grid_function
+from hypodist import Domain, build_grid, load_grid_function
 from hypodist.cli import main
 
 
@@ -25,6 +25,19 @@ def write_config(path, **overrides):
     with open(path, "w") as fh:
         json.dump(cfg, fh, indent=2)
     return path
+
+
+def plot_blocks(path) -> list:
+    """Blocks of a .dat plot file (separated by blank lines), each a list of
+    rows, every token parsed with float()."""
+    blocks, rows = [], []
+    for line in open(path).read().splitlines():
+        if line.strip():
+            rows.append([float(tok) for tok in line.split()])
+        elif rows:
+            blocks.append(rows)
+            rows = []
+    return blocks + [rows] if rows else blocks
 
 
 def test_estimate_end_to_end(tmp_path):
@@ -45,12 +58,41 @@ def test_estimate_end_to_end(tmp_path):
     sol = load_grid_function(str(out / run["files"]["solution"]))
     assert sol.monotone and sol.order == 1
     assert np.all(np.diff(sol.values, axis=0) >= -1e-12)
-    # plot files parse as float columns
-    surf = (out / run["files"]["surface"]).read_text().strip().splitlines()
-    rows = [r for r in surf if r and not r.startswith("#")]
-    assert all(len(r.split()) == 3 for r in rows)
-    mass = (out / run["files"]["cell_mass"]).read_text().strip().splitlines()
-    assert all(len(r.split()) == 3 for r in mass if r and not r.startswith("#"))
+    # plot files hold plain float columns, one block per row of axis 0:
+    # 7 nodes by 7 for the surface, 6 cells by 6 for the cell masses
+    axis = np.linspace(0.0, 3.0, 7)
+    surf = plot_blocks(out / run["files"]["surface"])
+    assert [len(b) for b in surf] == [7] * 7
+    assert all(len(r) == 3 for b in surf for r in b)
+    assert [[r[:2] for r in b] for b in surf] == [
+        [[x1, x2] for x2 in axis] for x1 in axis
+    ]
+    assert [r[2] for b in surf for r in b] == sol.values.reshape(-1).tolist()
+    mass = plot_blocks(out / run["files"]["cell_mass"])
+    assert [len(b) for b in mass] == [6] * 6
+    assert all(len(r) == 3 for b in mass for r in b)
+    assert mass[0][0][:2] == [0.25, 0.25]
+    total = sum(r[2] for b in mass for r in b)
+    assert total == pytest.approx(sol.values[-1, -1] - sol.values[0, -1]
+                                  - sol.values[-1, 0] + sol.values[0, 0])
+
+    # 1-D: one block, no blank lines
+    cfg = write_config(
+        tmp_path / "run1d.json",
+        domain={"lower": [0.0], "upper": [3.0]},
+        F0={"kind": "uniform_box", "lower": [0.0], "upper": [1.0]},
+        G0={"kind": "uniform_box", "lower": [2.0], "upper": [3.0]},
+    )
+    out = tmp_path / "out1d"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    (run,) = json.load(open(out / "result.json"))["runs"]
+    sol = load_grid_function(str(out / run["files"]["solution"]))
+    (surf,) = plot_blocks(out / run["files"]["surface"])
+    assert surf == [[x, v] for x, v in zip(axis.tolist(), sol.values.tolist())]
+    (mass,) = plot_blocks(out / run["files"]["cell_mass"])
+    assert [r[0] for r in mass] == [0.25, 0.75, 1.25, 1.75, 2.25, 2.75]
+    assert [r[1] for r in mass] == np.diff(sol.values).tolist()
 
 
 def test_estimate_delta_ladder_and_determinism(tmp_path):
@@ -71,8 +113,10 @@ def test_estimate_delta_ladder_and_determinism(tmp_path):
         for r in d["runs"]:
             r.pop("wall_time")
     assert d1 == d2
-    assert filecmp.cmp(out1 / "solution_delta_1.csv",
-                       out2 / "solution_delta_1.csv", shallow=False)
+    for name in ("solution_delta_1.csv", "solution_delta_0.4.csv",
+                 "surface_delta_1.dat", "surface_delta_0.4.dat",
+                 "cell_mass_delta_1.dat", "cell_mass_delta_0.4.dat"):
+        assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
 def test_ladder_matches_single_delta_estimates(tmp_path):
@@ -303,3 +347,51 @@ def test_config_with_extra_family_keys_is_shared(tmp_path):
                  str(tmp_path / "e"), "--quiet"]) == 0
     assert main(["distance", "--config", str(cfg), "--out",
                  str(tmp_path / "d"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate"],                                    # missing --config
+    ["estimate", "--config", "x.json", "--bogus"],   # unknown flag
+    ["estimate", "--config", "x.json", "--seed", "3"],  # --seed is generate's
+    ["distance", "--config", "x.json", "--seed", "3"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_error_exits_1(argv, capsys):
+    # argparse's own code 2 would read as shape-infeasible
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+    assert main(["estimate", "--help"]) == 0
+    assert "--seed" not in capsys.readouterr().out
+    assert main(["generate", "--help"]) == 0
+    assert "--seed" in capsys.readouterr().out
+
+
+def test_inline_samples_match_samples_csv(tmp_path):
+    from hypodist import cli as climod
+
+    # on the boundary, at nodes, and strictly inside cells
+    pts = [[0.0, 0.0], [0.5, 1.5], [3.0, 3.0], [1.2, 0.7], [2.9, 0.0],
+           [0.0, 2.25], [1.2, 0.7], [3.0, 0.1]]
+    (tmp_path / "pts.csv").write_text(
+        "x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in pts)
+    )
+    inline = {"kind": "samples", "points": pts}
+    csv = {"kind": "samples_csv", "path": "pts.csv"}
+    for name, src in (("inline", inline), ("csv", csv)):
+        cfg = write_config(tmp_path / f"{name}.json", F0=src, rho_values=[0.5],
+                           oracle_samples=3, quad_points=4)
+        assert main(["distance", "--config", str(cfg), "--out",
+                     str(tmp_path / name), "--quiet"]) == 0
+    grid = build_grid(Domain([0.0, 0.0], [3.0, 3.0]), 7)  # the config's grid
+    F_inline = climod._resolve_source(inline, "$.F0", grid, str(tmp_path))
+    F_csv = climod._resolve_source(csv, "$.F0", grid, str(tmp_path))
+    assert np.array_equal(F_inline.values, F_csv.values)
+    assert F_inline.values[-1, -1] == 1.0 and F_inline.values[0, 0] == 1 / 8
+    assert filecmp.cmp(tmp_path / "inline" / "distance.json",
+                       tmp_path / "csv" / "distance.json", shallow=False)

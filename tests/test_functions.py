@@ -80,9 +80,31 @@ def test_empirical_cdf_matches_sample_spec():
     via_scatter = empirical_cdf(SampleSet(pts), g)
     via_spec = realize(EmpiricalSamples(pts), g)
     assert np.allclose(via_scatter.values, via_spec.values)
+    # both routes share one counter; the pointwise definition is independent
+    pointwise = EmpiricalSamples(pts).cdf(g.node_lattice())
+    assert np.array_equal(via_scatter.values.reshape(-1), pointwise)
     assert via_scatter.monotone
     with pytest.raises(ValueError):
         empirical_cdf(SampleSet(np.array([[2.0, 0.5]])), g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2), nodes=st.integers(2, 6))
+def test_realized_samples_match_pointwise_cdf(data, dim, nodes):
+    # samples on nodes, inside cells, outside the domain on either side of
+    # some axis, and at infinity: the node counter must agree bit for bit
+    # with the pointwise definition
+    g = build_grid(Domain([0.0] * dim, [1.0] * dim), nodes)
+    coord = st.one_of(
+        st.sampled_from(g.axes[0].tolist()),
+        st.floats(-1.0, 2.0),
+        st.sampled_from([-np.inf, np.inf]),
+    )
+    pts = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                             min_size=1, max_size=20))
+    spec = EmpiricalSamples(np.array(pts))
+    f = realize(spec, g)
+    assert np.array_equal(f.values.reshape(-1), spec.cdf(g.node_lattice()))
 
 
 def test_mixture_and_dirac():

@@ -13,8 +13,8 @@ METHODS = ("highs", "simplex")
 def two_var_model():
     # min -x - 2y  s.t.  x + y <= 4, x <= 3, y <= 3, x,y >= 0
     m = LPModel("toy")
-    x = m.add_variable(upper=3.0, objective=-1.0, name="x")
-    y = m.add_variable(upper=3.0, objective=-2.0, name="y")
+    x = m.add_variable(upper=3.0, objective=-1.0)
+    y = m.add_variable(upper=3.0, objective=-2.0)
     m.add_constraint([x, y], [1.0, 1.0], "<=", 4.0)
     return m
 
