@@ -507,7 +507,7 @@ def cmd_distance(args) -> int:
 
     try:
         per_rho = parallel_map(at_rho, rho_values)
-        integral = hypo_dist_estimate(F0, G0, quad_points=quad_points)
+        integral = hypo_dist_estimate(F0, G0, quad_points=quad_points, tol=tol)
     except ValueError as e:
         raise ConfigError(f"config: sources unsuitable for distances: {e}") from e
     report = {
@@ -520,6 +520,7 @@ def cmd_distance(args) -> int:
             "lower_bound": integral.lower_bound,
             "upper_bound": integral.upper_bound,
             "method": integral.method,
+            "evaluations": integral.evaluations,
         },
     }
     _dump_json(report, os.path.join(out, "distance.json"))

@@ -574,6 +574,8 @@ def refinement_study(
     for prev, cur, g in zip(results, results[1:], grids[1:]):
         prev_fine = resample(prev.solution, g)
         distances.append(
-            hypo_dist_estimate(prev_fine, cur.solution, quad_points=quad_points)
+            hypo_dist_estimate(
+                prev_fine, cur.solution, quad_points=quad_points, tol=problem.tol
+            )
         )
     return RefinementReport(factors, results, distances)

@@ -322,11 +322,23 @@ def realize(spec: CdfSpec, grid: Grid) -> GridFunction:
     """
     if spec.dim != grid.dim:
         raise ValueError(f"spec dimension {spec.dim} != grid dimension {grid.dim}")
+    return GridFunction(grid, 1, _node_values(spec, grid).reshape(grid.shape),
+                        monotone=True)
+
+
+def _node_values(spec: CdfSpec, grid: Grid) -> np.ndarray:
+    """spec's CDF at every node, C-order, equal bit for bit to
+    ``spec.cdf(grid.node_lattice())``: samples go through the node counter
+    and mixtures sum their components' node values in ``Mixture.cdf``'s
+    order."""
     if isinstance(spec, EmpiricalSamples):
-        vals = _node_fractions(spec.points, grid)
-    else:
-        vals = spec.cdf(grid.node_lattice()).reshape(grid.shape)
-    return GridFunction(grid, 1, vals, monotone=True)
+        return _node_fractions(spec.points, grid).reshape(-1)
+    if isinstance(spec, Mixture):
+        out = np.zeros(grid.n_nodes)
+        for c, w in zip(spec.components, spec.weights):
+            out += w * _node_values(c, grid)
+        return out
+    return spec.cdf(grid.node_lattice())
 
 
 def empirical_cdf(samples: EmpiricalSamples | np.ndarray, grid: Grid) -> GridFunction:

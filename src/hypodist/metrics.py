@@ -27,8 +27,18 @@ to fast-and-certified:
   the shift distance.  Feasibility is decided *exactly* (up to floating
   point) by maximizing the violation over the region: the violation is
   piecewise linear, so its maximum sits on a vertex of the kink arrangement,
-  all of which are enumerated.  ``eta_plus``/``eta_minus`` are the cell-corner
-  relaxations bracketing the shift distance from above and below.
+  all of which are enumerated.  Write V(eta) for the larger of the two
+  directions' violation sups.  Every branch of the violation falls with
+  slope at most -1 in eta (g is nondecreasing) over a region that does not
+  depend on eta, so
+
+      V(eta + d) <= V(eta) - d     for d >= 0,
+
+  and lo + V(lo) is feasible whenever V(lo) > 0.  The threshold search uses
+  this bound to propose shifts, a secant between the bracket ends to refine
+  them, and an evaluation of V to certify each bracket end.
+  ``eta_plus``/``eta_minus`` are the cell-corner relaxations bracketing the
+  shift distance from above and below.
 
 * ``hypo_dist_estimate`` - certified two-sided bracket of the exponentially
   weighted integral of the truncated distances over all radii, built from
@@ -96,7 +106,8 @@ class DistanceReport:
 
     ``quad_term`` (when set) is the quadrature oscillation sum — the part of
     the bracket width attributable to finite radial resolution, as opposed to
-    the exactly-handled exponential tail.
+    the exactly-handled exponential tail.  ``evaluations`` (when set) counts
+    the violation evaluations of the shift-distance searches over all radii.
     """
 
     value: float
@@ -104,6 +115,7 @@ class DistanceReport:
     upper_bound: float
     method: str
     quad_term: float | None = None
+    evaluations: int | None = None
 
     def width(self) -> float:
         return self.upper_bound - self.lower_bound
@@ -466,6 +478,12 @@ def _direction_sup(f: GridFunction, g: GridFunction, rho: float, eta: float) -> 
     return _direction_sup_2d_boxes(f, g, rho, eta)
 
 
+def _violation(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
+    """V(eta): the larger violation sup of the two directions.  The shift
+    condition holds at eta iff V(eta) <= SUP_TOL; V is symmetric in (f, g)."""
+    return max(_direction_sup(f, g, rho, eta), _direction_sup(g, f, rho, eta))
+
+
 def kenmochi_ok(f: GridFunction, g: GridFunction, rho: float, eta: float) -> bool:
     """Whether the two-sided shift condition holds at shift eta and radius rho."""
     if not (rho > 0 and math.isfinite(rho)):
@@ -473,53 +491,76 @@ def kenmochi_ok(f: GridFunction, g: GridFunction, rho: float, eta: float) -> boo
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
     _validate_pair(f, g, need_uniform=True)
-    if _direction_sup(f, g, rho, eta) > SUP_TOL:
-        return False
-    return _direction_sup(g, f, rho, eta) <= SUP_TOL
+    return _violation(f, g, rho, eta) <= SUP_TOL
 
 
 def _hat_bracketed(
     f: GridFunction, g: GridFunction, rho: float, tol: float, lo: float
-) -> float:
-    """Bisection on the feasible-shift threshold, assuming lo is infeasible
-    or zero and 1 is feasible."""
+) -> tuple[float, int]:
+    """Least feasible shift at or above lo, to within tol, and the number of
+    violation evaluations spent on it.
 
-    def feasible(eta: float) -> bool:
-        return (
-            _direction_sup(f, g, rho, eta) <= SUP_TOL
-            and _direction_sup(g, f, rho, eta) <= SUP_TOL
-        )
+    The search keeps a bracket of *evaluated* shifts: V(lo) > SUP_TOL and
+    V(hi) <= SUP_TOL.  It stops once hi - lo <= tol and returns hi, so the
+    result overshoots the threshold by at most tol.  Since V falls with
+    slope at most -1 (module docstring), the threshold lies in
+    [hi + V(hi), lo + V(lo)]: lo + V(lo) is the first hi, and after each
+    secant probe between the bracket ends the bound on the side that did not
+    move is probed too.  The bound only proposes shifts; every end is
+    certified by its own evaluation.  A midpoint replaces the secant when two
+    rounds failed to halve the bracket, as on steps of order-0 functions.
+    """
+    evaluations = 0
 
-    if feasible(lo):
-        return lo
-    hi = 1.0
-    if not feasible(hi):
+    def probe(eta: float) -> bool:
+        nonlocal lo, v_lo, hi, v_hi, evaluations
+        evaluations += 1
+        v = _violation(f, g, rho, eta)
+        if v <= SUP_TOL:
+            hi, v_hi = eta, v
+            return True
+        lo, v_lo = eta, v
+        return False
+
+    hi = v_hi = v_lo = math.nan
+    if probe(lo):
+        return lo, evaluations
+    # rounding (or a monotone flag accepted within MONOTONE_ATOL) can leave
+    # lo + V(lo) just infeasible; shift 1 is feasible for [0, 1]-valued inputs
+    first = min(1.0, lo + v_lo)
+    if not probe(first) and (first == 1.0 or not probe(1.0)):
         raise ValueError(
             "shift 1 is infeasible; inputs are not [0, 1]-valued monotone "
             "functions within tolerance"
         )
+    widths = [hi - lo]
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
+        if len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]:
+            eta = 0.5 * (lo + hi)
         else:
-            lo = mid
-    return hi
+            eta = lo + v_lo * (hi - lo) / (v_lo - v_hi)  # secant aimed at V = 0
+        eta = min(max(eta, lo + 0.5 * tol), hi - 0.5 * tol)
+        step = hi + v_hi if probe(eta) else lo + v_lo
+        if lo + 0.5 * tol < step < hi - 0.5 * tol:
+            probe(step)
+        widths.append(hi - lo)
+    return hi, evaluations
 
 
 def hat_dl_rho(
     f: GridFunction, g: GridFunction, rho: float, *, tol: float = 1e-8
 ) -> float:
     """Shift distance at radius rho: the least eta making both one-sided
-    capped shift conditions hold.  Always in [0, 1]; found by bisection with
-    an exact feasibility test, so the result overshoots the true infimum by
-    at most tol."""
+    capped shift conditions hold.  Always in [0, 1].  Each candidate shift is
+    decided by the exact violation sup V(eta); the search steps along V's
+    slope bound V(eta + d) <= V(eta) - d and a secant, and returns a shift
+    with V <= SUP_TOL lying at most tol above the least such shift."""
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError(f"rho must be positive and finite, got {rho}")
     if not (0 < tol < 1):
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     _validate_pair(f, g, need_uniform=True)
-    return _hat_bracketed(f, g, rho, tol, 0.0)
+    return _hat_bracketed(f, g, rho, tol, 0.0)[0]
 
 
 # -- monotone root-scan distances ---------------------------------------------------
@@ -883,6 +924,8 @@ def hypo_dist_estimate(
     _validate_pair(f, g, need_uniform=True)
     if quad_points < 1:
         raise ValueError(f"quad_points must be >= 1, got {quad_points}")
+    if not (0 < tol < 1):
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     rho_bar = saturation_radius(f.grid.domain)
     edges = np.linspace(0.0, rho_bar, quad_points + 1)
     a, b = edges[:-1], edges[1:]
@@ -894,8 +937,10 @@ def hypo_dist_estimate(
     args = args[args > 0]
     hats = {0.0: 0.0}
     prev = 0.0
+    evaluations = 0
     for r in args:
-        val = _hat_bracketed(f, g, float(r), tol, lo=prev)
+        val, spent = _hat_bracketed(f, g, float(r), tol, lo=prev)
+        evaluations += spent
         # the shift distance is nondecreasing in rho; enforce it on the
         # computed sequence so the bracket holds by construction
         prev = max(prev, val)
@@ -918,11 +963,13 @@ def hypo_dist_estimate(
             f"bracket violated: {lower} <= {value} <= {upper} should hold"
         )
     logger.debug(
-        "hypo_dist_estimate: value=%.6g bracket=[%.6g, %.6g] (%d radii)",
+        "hypo_dist_estimate: value=%.6g bracket=[%.6g, %.6g] "
+        "(%d radii, %d violation evaluations)",
         value,
         lower,
         upper,
         len(hats),
+        evaluations,
     )
     return DistanceReport(
         value=value,
@@ -930,4 +977,5 @@ def hypo_dist_estimate(
         upper_bound=upper,
         method=f"shift-sandwich-quadrature-{quad_points}",
         quad_term=float(np.sum(w * (hat_2b - hat_a))),
+        evaluations=evaluations,
     )

@@ -2,7 +2,7 @@
 
 Everything here is built against first principles rather than the production
 code paths it audits: the sandwich check compares the corner bounds and the
-bisected shift distance against a lattice supremum of hypograph point
+searched shift distance against a lattice supremum of hypograph point
 distances (never the shift form), the rectangle audit measures the
 distribution condition over node-pair rectangles the estimator never saw,
 and the density / closure fixtures reproduce the qualitative behaviour that

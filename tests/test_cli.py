@@ -242,6 +242,25 @@ def test_distance_identical_sources(tmp_path):
     assert hd["lower_bound"] <= hd["value"] <= hd["upper_bound"]
 
 
+def test_distance_passes_config_tol_to_the_integral(tmp_path, monkeypatch):
+    from hypodist import cli as climod
+
+    real, seen = climod.hypo_dist_estimate, []
+
+    def spy(F, G, **kw):
+        seen.append(kw)
+        return real(F, G, **kw)
+
+    monkeypatch.setattr(climod, "hypo_dist_estimate", spy)
+    cfg = write_config(tmp_path / "run.json", rho_values=[1.0],
+                       oracle_samples=3, quad_points=4, tol=1e-4)
+    assert main(["distance", "--config", str(cfg), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 0
+    assert seen == [{"quad_points": 4, "tol": 1e-4}]
+    doc = json.load(open(tmp_path / "out" / "distance.json"))
+    assert doc["hypo_distance"]["evaluations"] >= 1
+
+
 def test_validate_subcommand(tmp_path):
     cfg = write_config(tmp_path / "run.json", rho_values=[0.5])
     out = tmp_path / "out"

@@ -107,6 +107,34 @@ def test_realized_samples_match_pointwise_cdf(data, dim, nodes):
     assert np.array_equal(f.values.reshape(-1), spec.cdf(g.node_lattice()))
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2), nodes=st.integers(2, 6))
+def test_realized_mixture_matches_pointwise_cdf(data, dim, nodes):
+    # nested mixtures whose sample components lie inside and outside the
+    # domain: realize must agree bit for bit with Mixture.cdf at the nodes
+    g = build_grid(Domain([0.0] * dim, [1.0] * dim), nodes)
+    coord = st.one_of(st.sampled_from(g.axes[0].tolist()), st.floats(-1.0, 2.0))
+
+    def spec(depth):
+        kind = data.draw(st.sampled_from(
+            ["samples", "box", "dirac"] + (["mixture"] if depth < 2 else [])))
+        if kind == "samples":
+            pts = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                     min_size=1, max_size=12))
+            return EmpiricalSamples(np.array(pts))
+        if kind == "box":
+            return UniformBox([0.25] * dim, [0.75] * dim)
+        if kind == "dirac":
+            return DiracPoint([data.draw(coord) for _ in range(dim)])
+        parts = [spec(depth + 1) for _ in range(data.draw(st.integers(1, 3)))]
+        k = np.array([data.draw(st.integers(1, 5)) for _ in parts], dtype=float)
+        return Mixture(parts, k / k.sum())
+
+    mix = Mixture([spec(1), spec(0)], [0.375, 0.625])
+    f = realize(mix, g)
+    assert np.array_equal(f.values.reshape(-1), mix.cdf(g.node_lattice()))
+
+
 def test_mixture_and_dirac():
     dom = Domain([0.0], [1.0])
     g = build_grid(dom, 5)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypodist import (
     DiracPoint,
@@ -20,7 +22,9 @@ from hypodist import (
     mesh_size,
     point_hypo_dist,
     realize,
+    upper_envelope,
 )
+from hypodist.metrics import SUP_TOL, _violation
 from tests.conftest import random_monotone
 
 # ---------------------------------------------------------------------------
@@ -195,6 +199,13 @@ def test_pair_validation_errors(unit_square_grid, unit_interval_grid, rng):
         hat_dl_rho(F, F, -1.0)
     with pytest.raises(ValueError):
         dl_rho_oracle(F, F, 1.0, 1)  # lattice needs at least two samples
+    with pytest.raises(ValueError):
+        hypo_dist_estimate(F, F, tol=0.0)  # the search needs a positive tol
+    # inside the range tolerance, yet the violation at shift 1 exceeds SUP_TOL
+    over = GridFunction(F.grid, 1, np.full(F.grid.shape, 1.0 + 1e-9), monotone=True)
+    under = GridFunction(F.grid, 1, np.full(F.grid.shape, -1e-9), monotone=True)
+    with pytest.raises(ValueError, match="shift 1 is infeasible"):
+        hat_dl_rho(over, under, 2.0)
     bare = GridFunction(F.grid, 1, F.values)  # monotone flag required
     with pytest.raises(ValueError):
         hat_dl_rho(bare, F, 1.0)
@@ -209,3 +220,73 @@ def test_hypo_dist_estimate_report_fields(rng, unit_square_grid):
     # more quadrature points must not widen the bracket meaningfully
     rep2 = hypo_dist_estimate(F, G, quad_points=48)
     assert rep2.width() <= rep.width() + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the shift-distance search: the slope bound it relies on, a reference
+# bisection, and its evaluation budget
+# ---------------------------------------------------------------------------
+
+_PATHS = ("1d", "2d-pl", "2d-boxes")
+
+
+def random_pair(seed: int, path: str):
+    """A random monotone pair that takes the given violation-sup path: 1-d,
+    2-d with two order-1 functions, or 2-d with an order-0 envelope."""
+    rng = np.random.default_rng(seed)
+    dim = 1 if path == "1d" else 2
+    g = build_grid(Domain([0.0] * dim, [1.0] * dim), int(rng.integers(2, 7)))
+    F, G = random_monotone(rng, g), random_monotone(rng, g)
+    if path == "2d-boxes":
+        F = upper_envelope(F)
+        if rng.random() < 0.5:
+            G = upper_envelope(G)
+    return F, G
+
+
+def reference_bisection(f, g, rho: float, tol: float = 1e-8) -> float:
+    """Plain bisection on the shift condition, returning the feasible end."""
+    if kenmochi_ok(f, g, rho, 0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if kenmochi_ok(f, g, rho, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    path=st.sampled_from(_PATHS),
+    rho=st.floats(0.05, 3.0),
+    eta=st.floats(0.0, 1.0),
+    d=st.floats(0.0, 1.0),
+)
+def test_violation_falls_with_slope_at_least_one(seed, path, rho, eta, d):
+    F, G = random_pair(seed, path)
+    assert _violation(F, G, rho, eta + d) <= _violation(F, G, rho, eta) - d + 2 * SUP_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    path=st.sampled_from(_PATHS),
+    rho=st.floats(0.05, 3.0),
+)
+def test_search_matches_reference_bisection(seed, path, rho):
+    F, G = random_pair(seed, path)
+    assert abs(hat_dl_rho(F, G, rho) - reference_bisection(F, G, rho)) <= 1e-8
+
+
+def test_search_evaluation_budget():
+    # the uuv geometry with box sources at 24x8 cells; the bisection it
+    # replaced spent 646 feasibility tests (1,022 violation sups) here
+    g = build_grid(Domain([0.0, 0.0], [6.0, 2.0]), [25, 9])
+    F = realize(UniformBox([0.3, 0.2], [3.3, 1.8]), g)
+    G = realize(UniformBox([2.7, 0.2], [5.7, 1.8]), g)
+    rep = hypo_dist_estimate(F, G, quad_points=32)
+    assert rep.evaluations <= 130
