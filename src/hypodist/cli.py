@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -428,16 +429,19 @@ def cmd_estimate(args) -> int:
 
     runs = []
     total_time = 0.0
-    # (delta, largest probed eta with slack above tol) per solved delta:
-    # slack does not decrease as delta shrinks, so that eta still has slack
-    # above tol at every smaller delta and starts its search
+    # (delta, largest probed eta with finite slack above tol) per solved
+    # delta: slack does not decrease as delta shrinks, so that eta still has
+    # slack above tol at every smaller delta and starts its search.  An
+    # infeasible probe is left out: infeasibility does not depend on delta,
+    # so the next search would only solve it again
     solved: list[tuple[float, float]] = []
     for delta in deltas:
         problem = _make_problem(F0, G0, delta, rho, shape, tol)
         lower = max((eta for d, eta in solved if d >= delta), default=0.0)
         result = estimate(problem, method=lp_method, lower=lower)
         solved.append((delta, max(
-            (eta for eta, s, _ in result.history if s > problem.tol), default=0.0
+            (eta for eta, s, _ in result.history if problem.tol < s < math.inf),
+            default=0.0,
         )))
         total_time += result.wall_time
         suffix = "" if len(deltas) == 1 else f"_delta_{delta:g}"

@@ -317,7 +317,9 @@ def min_slack(
     Raises ShapeInfeasibleError when no function satisfies the constraint
     system at this shift (possible at small eta, where the target rows
     contradict each other or the shape rows)."""
-    s, F, _ = _solve_at(problem, eta, method=method, max_iterations=max_iterations)
+    s, F, _, _ = _solve_at(
+        problem, eta, method=method, max_iterations=max_iterations
+    )
     return s, F
 
 
@@ -327,9 +329,12 @@ def _solve_at(
     *,
     method: str,
     max_iterations: int,
-) -> tuple[float, GridFunction, int]:
+    basis=None,
+) -> tuple[float, GridFunction, int, object | None]:
+    """Least slack at shift eta, its witness, the LP iterations and the
+    optimal basis (``lp.solve`` starts from ``basis`` when it fits)."""
     model, counts = assemble_lp(problem, eta)
-    sol = lp.solve(model, method=method, max_iterations=max_iterations)
+    sol = lp.solve(model, method=method, max_iterations=max_iterations, basis=basis)
     if sol.status == "infeasible":
         raise ShapeInfeasibleError(
             f"constraint system infeasible at shift eta={eta:.6g} "
@@ -350,7 +355,7 @@ def _solve_at(
         F = GridFunction(problem.grid, 1, values, monotone=True)
     except ValueError as e:
         raise lp.SolverError(f"LP solution at shift eta={eta:.6g}: {e}") from e
-    return s, F, sol.iterations
+    return s, F, sol.iterations, sol.basis
 
 
 def estimate(
@@ -394,6 +399,15 @@ def estimate(
     it after eta = 1: if the probe confirms it, it becomes lo, and if not,
     the search goes on in [0, lower].  A wrong hint costs probes, never
     correctness.
+
+    Each probe after the first starts HiGHS from the optimal basis of the
+    last optimal probe.  Consecutive probes differ only in the target rows,
+    so a few pivots repair that basis.  It is used only when the row count
+    matches, which holds whenever rho > 2: no upper target row is dropped
+    then.  The warm start covers one estimate only, and the first probe is
+    always cold.  The next delta of a ladder starts at eta = 1, far from
+    where the last search ended, and a basis carried there needed more
+    pivots than a cold solve with presolve.
     """
     if not (0.0 <= lower <= 1.0):
         raise ValueError(f"lower must lie in [0, 1], got {lower}")
@@ -401,7 +415,7 @@ def estimate(
     eps = problem.tol
     history: list[tuple[float, float, int]] = []
 
-    s1, F1, it1 = _solve_at(
+    s1, F1, it1, basis = _solve_at(
         problem, 1.0, method=method, max_iterations=max_iterations
     )
     history.append((1.0, s1, it1))
@@ -420,10 +434,11 @@ def estimate(
     trail = [(hi - lo, s_lo)]  # bracket width and slack at lo per probe
 
     def probe(eta: float) -> None:
-        nonlocal lo, hi, best, s_lo
+        nonlocal lo, hi, best, s_lo, basis
         try:
-            s, F, it = _solve_at(
-                problem, eta, method=method, max_iterations=max_iterations
+            s, F, it, basis = _solve_at(
+                problem, eta, method=method, max_iterations=max_iterations,
+                basis=basis,
             )
         except ShapeInfeasibleError:
             s, F, it = math.inf, None, 0

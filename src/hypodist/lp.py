@@ -16,10 +16,19 @@ summed wherever the matrix is read.  The model, its dense view and
 
 ``solve`` dispatches to either the bundled bounded-variable two-phase primal
 simplex (dense, numpy-only, meant for small and medium problems and as a
-reference implementation) or to HiGHS via scipy when available (sparse, fast,
-used for the large estimation programs; the row blocks go to it as CSR
-matrices without a per-row pass).  Both report one of the statuses
-"optimal", "infeasible", "unbounded" or "iteration_limit".
+reference implementation) or to HiGHS through SciPy (sparse, fast, used for
+the large estimation programs; the row blocks go to it without a per-row
+pass).  Both report one of the statuses "optimal", "infeasible", "unbounded"
+or "iteration_limit".
+
+HiGHS is called directly through SciPy's private bindings
+(``scipy.optimize._highspy._core``), with the matrix, bounds and options
+that ``linprog`` would hand it, so a cold solve is the same as through
+``linprog`` without its wrapper's per-call cost.  The optimal basis comes
+back in ``LPSolution.basis``; passed to the next ``solve`` of a model with
+the same row and column counts, it starts HiGHS there, and a warm run that
+HiGHS rejects or that ends outside the four statuses is solved again cold.
+SciPy releases without those bindings go through ``linprog``, cold.
 
 The simplex keeps nonbasic variables at finite bounds, prices with Dantzig's
 rule and falls back to Bland's rule after a run of degenerate pivots, so it
@@ -30,6 +39,7 @@ module is meant for, robustness is worth far more than speed.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import logging
 import math
@@ -223,6 +233,8 @@ class LPSolution:
     objective: float
     iterations: int
     duals: np.ndarray | None = None
+    # HiGHS's optimal basis and the (rows, columns) it fits, for a warm start
+    basis: tuple | None = None
 
     @property
     def ok(self) -> bool:
@@ -444,29 +456,142 @@ class SolverError(RuntimeError):
 
 # -- HiGHS adapter ----------------------------------------------------------------
 
+# HiGHS model statuses, mapped as linprog maps them (it reports a model error
+# as infeasible); any other status is unknown and sends the solve to a retry
+_HIGHS_STATUS = {
+    "kOptimal": "optimal",
+    "kIterationLimit": "iteration_limit",
+    "kTimeLimit": "iteration_limit",
+    "kInfeasible": "infeasible",
+    "kModelError": "infeasible",
+    "kUnbounded": "unbounded",
+}
 
-def _solve_highs(model: LPModel, max_iterations: int) -> LPSolution:
+
+def _highs_core():
+    """SciPy's private HiGHS bindings, or None when this SciPy lacks them."""
+    try:
+        return importlib.import_module("scipy.optimize._highspy._core")
+    except ImportError:
+        return None
+
+
+def _highs_rows(model: LPModel):
+    """The rows as linprog hands them to HiGHS: ">=" rows negated into "<="
+    rows, inequality rows before equality rows.  Returns the CSR matrix,
+    the number of inequality rows and the right-hand sides."""
     import scipy.sparse as sp
-    from scipy.optimize import linprog
 
-    n = model.n_variables
     row_ptr, idx, cf, codes, b = model.row_arrays()
     lengths = np.diff(row_ptr)
-    # ">=" rows enter HiGHS as "<=" rows with both sides negated
     sign = np.where(codes == SENSES.index(">="), -1.0, 1.0)
-    signed = np.repeat(sign, lengths) * cf
-
-    def _csr(keep: np.ndarray):
-        if not keep.any():
-            return None, None
-        entries = np.repeat(keep, lengths)
-        ptr = np.concatenate([[0], np.cumsum(lengths[keep])])
-        A = sp.csr_matrix((signed[entries], idx[entries], ptr), shape=(ptr.size - 1, n))
-        return A, sign[keep] * b[keep]
-
     is_eq = codes == SENSES.index("==")
-    A_ub, b_ub = _csr(~is_eq)
-    A_eq, b_eq = _csr(is_eq)
+    order = np.argsort(is_eq, kind="stable")
+    entries = np.argsort(np.repeat(is_eq, lengths), kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(lengths[order])])
+    signed = np.repeat(sign, lengths) * cf
+    A = sp.csr_array((signed[entries], idx[entries], ptr),
+                     shape=(order.size, model.n_variables))
+    return A, int(np.count_nonzero(~is_eq)), (sign * b)[order]
+
+
+def _highs_lp(core, model: LPModel):
+    """The model as a HiGHS LP, built exactly as linprog builds it: a
+    column-wise matrix made through COO, so duplicate entries are summed.
+    The vectors go in as lists, which the bindings copy about twice as fast
+    as arrays, to the same values."""
+    import scipy.sparse as sp
+
+    A, n_ub, rhs = _highs_rows(model)
+    csc = sp.coo_array(A).tocsc()
+    lower, upper = model.bounds
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_variables
+    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = csc.indptr.tolist()
+    lp.a_matrix_.index_ = csc.indices.tolist()
+    lp.a_matrix_.value_ = csc.data.tolist()
+    lp.col_cost_ = model.objective.tolist()
+    lp.col_lower_, lp.col_upper_ = lower.tolist(), upper.tolist()
+    lp.row_lower_ = [-math.inf] * n_ub + rhs[n_ub:].tolist()
+    lp.row_upper_ = rhs.tolist()
+    return lp
+
+
+def _run_highs(core, lp, max_iterations: int, presolve: bool, basis=None):
+    """One HiGHS run of ``lp`` with linprog's options, from ``basis`` when
+    one is given.  Returns (status, solver, iterations, message); the status
+    is None when HiGHS rejects the basis or ends outside the known ones."""
+    options = core.HighsOptions()
+    options.presolve = "on" if presolve else "off"
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    options.primal_feasibility_tolerance = 1e-9
+    options.dual_feasibility_tolerance = 1e-9
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_iteration_limit = options.ipm_iteration_limit = max_iterations
+    highs = core._Highs()
+    error = core.HighsStatus.kError
+    highs.passOptions(options)
+    if highs.passModel(lp) == error:
+        return "infeasible", highs, 0, "model error"  # as linprog reports it
+    if basis is not None and highs.setBasis(basis) == error:
+        return None, highs, 0, "basis rejected"
+    ran = highs.run() != error
+    model_status = highs.getModelStatus()
+    nit = highs.getInfo().simplex_iteration_count if ran else 0
+    return (_HIGHS_STATUS.get(model_status.name), highs, nit,
+            highs.modelStatusToString(model_status))
+
+
+def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSolution, str]:
+    """Solve through HiGHS; returns the solution and how the solve started.
+
+    A ``basis`` whose row and column counts match the model starts a run
+    without presolve.  When HiGHS rejects it or ends outside the known
+    statuses, the model is solved cold, as without a basis: with presolve,
+    then without it if presolve ends outside the known statuses.  Without
+    SciPy's HiGHS bindings the solve goes through ``linprog``, cold."""
+    core = _highs_core()
+    if core is None:
+        return _solve_linprog(model, max_iterations), "cold, linprog"
+    lp = _highs_lp(core, model)
+    shape = (model.n_constraints, model.n_variables)
+    status, start = None, "cold"
+    if basis is not None and basis[0] == shape:
+        status, highs, nit, message = _run_highs(
+            core, lp, max_iterations, presolve=False, basis=basis[1]
+        )
+        start = "warm"
+        if status is None:
+            start = "warm, cold retry"
+            logger.debug("re-solving LP cold: %s", message)
+    if status is None:
+        status, highs, nit, message = _run_highs(core, lp, max_iterations, True)
+    if status is None:
+        # presolve occasionally reports near-degenerate instances as
+        # "unknown"; a clean phase-1 run settles the question
+        logger.debug("retrying LP without presolve: %s", message)
+        status, highs, nit, message = _run_highs(core, lp, max_iterations, False)
+    if status is None:
+        raise SolverError(f"LP backend failed: {message}")
+    if status != "optimal":
+        return LPSolution(status, None, math.nan, nit), start
+    x = np.array(highs.getSolution().col_value)
+    obj = float(highs.getInfo().objective_function_value)
+    return LPSolution(status, x, obj, nit, basis=(shape, highs.getBasis())), start
+
+
+def _solve_linprog(model: LPModel, max_iterations: int) -> LPSolution:
+    from scipy.optimize import linprog
+
+    A, n_ub, rhs = _highs_rows(model)
+
+    def part(rows: slice):
+        return (A[rows], rhs[rows]) if rhs[rows].size else (None, None)
+
+    (A_ub, b_ub), (A_eq, b_eq) = part(slice(None, n_ub)), part(slice(n_ub, None))
 
     def run(presolve: bool):
         return linprog(
@@ -489,8 +614,6 @@ def _solve_highs(model: LPModel, max_iterations: int) -> LPSolution:
     res = run(presolve=True)
     status = status_map.get(res.status)
     if status is None:
-        # presolve occasionally reports near-degenerate instances as
-        # "unknown"; a clean phase-1 run settles the question
         logger.debug("retrying LP without presolve: %s", res.message)
         res = run(presolve=False)
         status = status_map.get(res.status)
@@ -502,39 +625,34 @@ def _solve_highs(model: LPModel, max_iterations: int) -> LPSolution:
     return LPSolution(status, x, obj, nit)
 
 
-def _highs_available() -> bool:
-    try:
-        import scipy.optimize  # noqa: F401
-        import scipy.sparse  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def solve(
     model: LPModel,
     *,
     max_iterations: int = 100_000,
     method: str = "auto",
+    basis=None,
 ) -> LPSolution:
-    """Minimize the model.  ``method``: "simplex" (bundled), "highs"
-    (scipy-backed), or "auto" (highs when importable, else simplex)."""
+    """Minimize the model.  ``method``: "simplex" (bundled), or "highs" and
+    "auto" (HiGHS, through SciPy).
+
+    ``basis`` is an optimal basis that HiGHS returned for an earlier model
+    (``LPSolution.basis``).  When its row and column counts match this
+    model, HiGHS starts from it; the simplex ignores it."""
     if model.n_variables == 0:
         raise ValueError("model has no variables")
-    if method == "auto":
-        method = "highs" if _highs_available() else "simplex"
-    if method == "highs":
-        sol = _solve_highs(model, max_iterations)
+    if method in ("auto", "highs"):
+        sol, start = _solve_highs(model, max_iterations, basis)
     elif method == "simplex":
-        sol = _solve_simplex(model, max_iterations)
+        sol, start = _solve_simplex(model, max_iterations), "cold"
     else:
         raise ValueError(f"unknown method {method!r}")
     logger.debug(
-        "LP %s: status=%s objective=%s iterations=%d",
+        "LP %s: status=%s objective=%s iterations=%d start=%s",
         model.name,
         sol.status,
         sol.objective,
         sol.iterations,
+        start,
     )
     return sol
 

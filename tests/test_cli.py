@@ -185,11 +185,30 @@ def test_iteration_limit_exit_code(tmp_path, monkeypatch):
                  str(tmp_path / "o"), "--quiet"]) == 3
 
 
-@pytest.mark.parametrize("failure", ["status", "backend", "non-monotone"])
+def test_ladder_hint_skips_infeasible_probes(tmp_path):
+    # delta 1.0 stops at the infeasibility threshold eta_0; infeasibility
+    # does not depend on delta, so delta 0.7 must not probe those shifts again
+    cfg = write_config(tmp_path / "run.json", delta=[1.0, 0.7],
+                       grid={"cells_per_axis": 12})
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    first, second = json.load(open(out / "result.json"))["runs"]
+    infeasible = {h["eta"] for h in first["history"] if h["slack"] == math.inf}
+    assert infeasible
+    assert not infeasible & {h["eta"] for h in second["history"]}
+
+
+@pytest.mark.parametrize(
+    "failure", ["status", "backend", "linprog-backend", "non-monotone"]
+)
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
-    # an LP status the estimator cannot use, a backend that gives up, and
-    # a solution that is not monotone all exit 4 with one line, not a
-    # traceback
+    # an LP status the estimator cannot use, a backend that gives up (HiGHS
+    # called directly, or through linprog where SciPy lacks the direct
+    # bindings), and a solution that is not monotone all exit 4 with one
+    # line, not a traceback
+    import sys
+
     import scipy.optimize
     from scipy.optimize import OptimizeResult
 
@@ -210,6 +229,15 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
                               x=None, fun=None, nit=0)
 
     if failure == "backend":
+        core = lp._highs_core()
+
+        class FailingHighs(core._Highs):
+            def run(self):
+                return core.HighsStatus.kError
+
+        monkeypatch.setattr(core, "_Highs", FailingHighs)
+    elif failure == "linprog-backend":
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
         monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
     else:
         monkeypatch.setattr(lp, "solve", fake_solve)

@@ -405,6 +405,44 @@ def test_lower_hint(two_uniforms_10, lower):
         estimate(prob, lower=1.5)
 
 
+def test_warm_probe_sequence_matches_cold_solves(two_uniforms_10, caplog):
+    # the probes of one estimate, each started from the last optimal
+    # probe's basis, reach the same least slack as cold solves
+    from hypodist import lp
+
+    prob = EstimationProblem(*two_uniforms_10, 0.4)
+    with caplog.at_level("DEBUG", logger="hypodist.lp"):
+        etas = [h[0] for h in estimate(prob).history]
+    # rho > 2 here, so every probe after the first can start warm
+    assert caplog.text.count("start=warm\n") == len(etas) - 1
+    caplog.clear()
+    basis, warm_its, cold_its = None, 0, 0
+    with caplog.at_level("DEBUG", logger="hypodist.lp"):
+        for eta in etas:
+            model, _ = assemble_lp(prob, eta)
+            cold = lp.solve(model)
+            warm = lp.solve(model, basis=basis)
+            assert warm.status == cold.status
+            if cold.ok:
+                assert abs(warm.objective - cold.objective) <= 1e-9
+                basis = warm.basis
+            warm_its += warm.iterations
+            cold_its += cold.iterations
+    assert caplog.text.count("start=warm\n") >= len(etas) - 2
+    assert warm_its < cold_its
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.4])
+def test_linprog_fallback_gives_the_same_estimate(two_uniforms_10, delta, monkeypatch):
+    # without SciPy's HiGHS bindings every probe goes through linprog, cold
+    import sys
+
+    prob = EstimationProblem(*two_uniforms_10, delta)
+    direct = estimate(prob).eta
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    assert abs(estimate(prob).eta - direct) <= prob.tol
+
+
 # ---------------------------------------------------------------------------
 # problem validation
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hypodist import LPModel, brute_force_minimum, solve
+from hypodist import LPModel, brute_force_minimum, lp, solve
 from hypodist.lp import constraint_residuals
 from tests.conftest import random_feasible_lp
 
@@ -182,3 +182,108 @@ def test_determinism():
     s2 = solve(m, method="simplex")
     assert s1.objective == s2.objective
     assert np.array_equal(s1.x, s2.x)
+
+
+# ---------------------------------------------------------------------------
+# the direct HiGHS call, its warm start and its fallbacks
+# ---------------------------------------------------------------------------
+
+
+def random_models(seed, count=12):
+    """Random feasible LPs with an infeasible one and an equality row mixed
+    in, so each status path and row kind is covered."""
+    rng = np.random.default_rng(seed)
+    models = [random_feasible_lp(rng, int(rng.integers(2, 10)),
+                                 int(rng.integers(1, 9)))[0]
+              for _ in range(count)]
+    models[1].add_constraint([0, 1, 0], [1.0, -2.0, 0.5], "==", 0.25)
+    models[2].add_constraint([0], [1.0], ">=", 1e3)  # beyond the bound
+    return models
+
+
+def same_solution(a, b):
+    if (a.status, a.iterations) != (b.status, b.iterations):
+        return False
+    if a.x is None or b.x is None:
+        return a.x is None and b.x is None
+    return a.objective == b.objective and np.array_equal(a.x, b.x)
+
+
+def test_linprog_fallback_matches_direct_call(monkeypatch):
+    # a cold direct call hands HiGHS what linprog hands it, so without the
+    # bindings the same model gives the same status, x and iterations
+    import sys
+
+    direct = [solve(m) for m in random_models(31)]
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    assert lp._highs_core() is None
+    fallback = [solve(m) for m in random_models(31)]
+    assert [s.status for s in direct].count("infeasible") >= 1
+    for a, b in zip(direct, fallback):
+        assert same_solution(a, b)
+        assert b.basis is None
+
+
+def test_basis_is_returned_and_reused():
+    m, _ = random_feasible_lp(np.random.default_rng(41), 9, 8)
+    cold = solve(m)
+    assert cold.ok and cold.basis is not None
+    assert solve(m, method="simplex").basis is None
+    warm = solve(m, basis=cold.basis)
+    # restarting from the optimal basis of the same model needs no pivot
+    assert warm.ok and warm.iterations == 0
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_basis_of_another_shape_is_ignored(caplog):
+    small, _ = random_feasible_lp(np.random.default_rng(43), 3, 2)
+    models = random_models(47, count=4)
+    basis = solve(small).basis
+    with caplog.at_level("DEBUG", logger="hypodist.lp"):
+        for m in models:
+            assert same_solution(solve(m, basis=basis), solve(m))
+    assert "start=warm" not in caplog.text
+
+
+def test_rejected_basis_falls_back_to_cold(caplog):
+    # a basis with every variable basic has the right counts but is not a
+    # basis; unless marked alien (to be repaired), HiGHS rejects it and the
+    # model is solved as without one
+    core = lp._highs_core()
+    for m in random_models(53):
+        bad = core.HighsBasis()
+        bad.col_status = [core.HighsBasisStatus.kBasic] * m.n_variables
+        bad.row_status = [core.HighsBasisStatus.kBasic] * m.n_constraints
+        bad.valid, bad.alien = True, False
+        with caplog.at_level("DEBUG", logger="hypodist.lp"):
+            shape = (m.n_constraints, m.n_variables)
+            assert same_solution(solve(m, basis=(shape, bad)), solve(m))
+        assert "start=warm, cold retry" in caplog.text
+        caplog.clear()
+
+
+def test_failed_warm_solve_falls_back_to_cold(monkeypatch, caplog):
+    # a warm run that ends outside the known statuses is re-solved cold,
+    # with the same status and objective as a cold solve
+    core = lp._highs_core()
+    models = random_models(59)
+    bases = [solve(m).basis for m in random_models(59)]
+    cold = [solve(m) for m in models]
+
+    class WarmRunFails(core._Highs):
+        def setBasis(self, *args):
+            self.warm = True
+            return super().setBasis(*args)
+
+        def run(self):
+            if getattr(self, "warm", False):
+                return core.HighsStatus.kError
+            return super().run()
+
+    monkeypatch.setattr(core, "_Highs", WarmRunFails)
+    with caplog.at_level("DEBUG", logger="hypodist.lp"):
+        retried = [solve(m, basis=b) for m, b in zip(models, bases)]
+    assert caplog.text.count("start=warm, cold retry") == sum(
+        b is not None for b in bases)
+    for a, b in zip(cold, retried):
+        assert same_solution(a, b)
