@@ -25,7 +25,6 @@ import sys
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .estimator import (
     EstimationProblem,
     IterationLimitError,
@@ -99,6 +98,14 @@ def _float_list(x, where: str, length: int | None = None) -> list:
     return [float(v) for v in x]
 
 
+def _positive_int_list(x, where: str, length: int | None = None) -> list:
+    vals = _float_list(x, where, length=length)
+    # json.load accepts Infinity and NaN, which int() cannot convert
+    if not all(math.isfinite(v) and v == int(v) and v >= 1 for v in vals):
+        _fail(where, f"must be positive integers, got {x}")
+    return [int(v) for v in vals]
+
+
 def _positive_int(cfg: dict, key: str, default: int) -> int:
     value = cfg.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -149,10 +156,8 @@ def _parse_grid(domain: Domain, obj, where: str) -> Grid:
     if isinstance(cells, int) and not isinstance(cells, bool):
         nodes = [cells + 1] * domain.dim
     else:
-        vals = _float_list(cells, f"{where}.cells_per_axis", length=domain.dim)
-        if any(v != int(v) or v < 1 for v in vals):
-            _fail(where, f"cells_per_axis must be positive integers, got {cells}")
-        nodes = [int(v) + 1 for v in vals]
+        cells = _positive_int_list(cells, f"{where}.cells_per_axis", domain.dim)
+        nodes = [c + 1 for c in cells]
     if min(nodes) < 2:
         _fail(where, "need at least one cell per axis")
     try:
@@ -510,7 +515,7 @@ def cmd_distance(args) -> int:
         }
 
     try:
-        per_rho = parallel_map(at_rho, rho_values)
+        per_rho = [at_rho(r) for r in rho_values]
         integral = hypo_dist_estimate(F0, G0, quad_points=quad_points, tol=tol)
     except ValueError as e:
         raise ConfigError(f"config: sources unsuitable for distances: {e}") from e
@@ -552,13 +557,9 @@ def cmd_study(args) -> int:
     deltas = _deltas(cfg)
     if len(deltas) != 1:
         _fail("$.delta", "a study takes a single delta, not a ladder")
-    factors_raw = cfg["refinement_factors"]
-    factors = _float_list(factors_raw, "$.refinement_factors")
+    factors = _positive_int_list(cfg["refinement_factors"], "$.refinement_factors")
     if len(factors) < 2:
         _fail("$.refinement_factors", "need at least two refinement levels")
-    if any(v != int(v) or v < 1 for v in factors):
-        _fail("$.refinement_factors", f"must be positive integers, got {factors_raw}")
-    factors = [int(v) for v in factors]
     if any(b % a != 0 for a, b in zip(factors, factors[1:])):
         _fail("$.refinement_factors", "each factor must divide the next")
     budget = _positive_int(cfg, "rect_budget", 200_000)
@@ -588,7 +589,7 @@ def cmd_study(args) -> int:
             "sandwich": _sandwich_record(sandwich),
         }
 
-    levels = parallel_map(validate_level, list(zip(factors, report.results)))
+    levels = [validate_level(item) for item in zip(factors, report.results)]
     distances = [
         {"value": d.value, "lower_bound": d.lower_bound, "upper_bound": d.upper_bound}
         for d in report.consecutive_distances
@@ -633,7 +634,7 @@ def cmd_validate(args) -> int:
         return {"rho": r, **_sandwich_record(rep)}
 
     try:
-        sandwiches = parallel_map(sandwich_at, rho_values)
+        sandwiches = [sandwich_at(r) for r in rho_values]
     except ValueError as e:
         raise ConfigError(f"config: sources unsuitable for validation: {e}") from e
     doc = {

@@ -83,6 +83,13 @@ class Domain:
         return hash((self.lower.tobytes(), self.upper.tobytes()))
 
 
+def lattice(coords: Sequence[np.ndarray]) -> np.ndarray:
+    """Every point of the product of per-axis coordinates, shape (N, m),
+    C-order (the last axis varies fastest)."""
+    mesh = np.meshgrid(*coords, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def _vertex_signs(dim: int) -> np.ndarray:
     """Signs of the 2^m corners of a box, bit i of the corner index selecting
     the upper bound on axis i.  A corner's sign is +1 exactly when the number
@@ -200,8 +207,7 @@ class Grid:
 
     def node_lattice(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, m), C-order over the lattice."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return lattice(self.axes)
 
     def lower_face_mask(self) -> np.ndarray:
         """Boolean (n_nodes,) mask, C-order, of the nodes on a face through
@@ -215,11 +221,8 @@ class Grid:
     def cell_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) corner arrays of all cells, each (n_cells, m),
         enumerated lexicographically (C-order over the cell lattice)."""
-        los = np.meshgrid(*[a[:-1] for a in self.axes], indexing="ij")
-        his = np.meshgrid(*[a[1:] for a in self.axes], indexing="ij")
-        lower = np.stack([m.ravel() for m in los], axis=-1)
-        upper = np.stack([m.ravel() for m in his], axis=-1)
-        return lower, upper
+        lower = lattice([a[:-1] for a in self.axes])
+        return lower, lattice([a[1:] for a in self.axes])
 
     # -- triangulation (m == 2) ----------------------------------------------
 
@@ -365,15 +368,9 @@ def locate(grid: Grid, x: Sequence[float]) -> tuple[int, np.ndarray]:
         raise ValueError(f"point has {x.size} coordinates, grid has {grid.dim}")
     if not grid.domain.contains(x):
         raise ValueError(f"point {x} is outside the domain")
-    idx = np.empty(grid.dim, dtype=np.int64)
-    loc = np.empty(grid.dim, dtype=float)
-    for i, a in enumerate(grid.axes):
-        k = int(np.searchsorted(a, x[i], side="right")) - 1
-        k = min(max(k, 0), a.size - 2)
-        idx[i] = k
-        loc[i] = (x[i] - a[k]) / (a[k + 1] - a[k])
-    flat = int(np.ravel_multi_index(tuple(idx), grid.cell_counts))
-    return flat, loc
+    idx, loc = locate_batch(grid, x)
+    flat = int(np.ravel_multi_index(tuple(idx[0]), grid.cell_counts))
+    return flat, loc[0]
 
 
 def locate_batch(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

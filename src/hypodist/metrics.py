@@ -25,12 +25,16 @@ to fast-and-certified:
 
   and its mirror image define a feasibility region in eta whose infimum is
   the shift distance.  Feasibility is decided *exactly* (up to floating
-  point) by maximizing the violation over the region: the violation is
-  piecewise linear, so its maximum sits on a vertex of the kink arrangement,
-  all of which are enumerated.  Write V(eta) for the larger of the two
-  directions' violation sups.  Every branch of the violation falls with
-  slope at most -1 in eta (g is nondecreasing) over a region that does not
-  depend on eta, so
+  point) by maximizing the violation over the region, in 1-d and 2-d alike,
+  with one of two maximizers chosen by the functions' orders.  For two
+  continuous (order-1) functions the violation is piecewise linear, so its
+  maximum sits on a vertex of the kink arrangement, all of which are
+  enumerated.  When a step (order-0) function is involved, the candidate
+  lines cut the region into boxes on which every step factor is constant,
+  and monotonicity puts the continuous factor's extreme at a box corner.
+  Write V(eta) for the larger of the two directions' violation sups.  Every
+  branch of the violation falls with slope at most -1 in eta (g is
+  nondecreasing) over a region that does not depend on eta, so
 
       V(eta + d) <= V(eta) - d     for d >= 0,
 
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import GridFunction
-from .grid import Domain, locate_batch
+from .grid import Domain, lattice, locate_batch
 
 logger = logging.getLogger(__name__)
 
@@ -172,10 +176,10 @@ def _shifted_eval(g: GridFunction, pts: np.ndarray, eta: float) -> np.ndarray:
 #     psi(x) = min(f(x), rho) - g(min(x + eta, b)) - eta ,
 #
 # and the condition holds iff  sup psi <= 0  over the region
-# R = {x in S : ||x||_inf <= rho}.  psi is piecewise linear; the code below
-# computes its exact supremum by enumerating the vertices of the linearity
-# arrangement (continuous pieces) or the boxes on which step functions are
-# constant (order-0 pieces).
+# R = {x in S : ||x||_inf <= rho}.  Both maximizers below start from the same
+# per-axis candidates: f's nodes, g's nodes pulled back by eta, and the
+# region's bounds.  Between consecutive candidates no node of either function
+# is crossed on any axis.
 
 
 def _axis_candidates(
@@ -186,55 +190,29 @@ def _axis_candidates(
     return np.unique(cand)
 
 
-def _direction_sup_1d(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
-    dom = f.grid.domain
-    ball = RhoBall(rho)
-    reg = ball.region(dom)
+def _candidates(
+    f: GridFunction, rho: float, eta: float
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None:
+    """Region bounds and per-axis candidates, or None when the region is empty."""
+    reg = RhoBall(rho).region(f.grid.domain)
     if reg is None:
-        return -math.inf
-    lo, hi = float(reg[0][0]), float(reg[1][0])
-    axis = f.grid.axes[0]
-    if lo == hi:
-        x = np.array([[lo]])
-        fv = float(f.eval(x))
-        gv = float(_shifted_eval(g, x, eta))
-        return min(fv, rho) - gv - eta
+        return None
+    lo, hi = reg
+    cands = [_axis_candidates(a, eta, lo[i], hi[i]) for i, a in enumerate(f.grid.axes)]
+    return lo, hi, cands
 
-    cand = _axis_candidates(axis, eta, lo, hi)
-    if f.order == 1:
-        # split intervals where min(f, rho) kinks
-        fc = f.eval(cand[:, None])
-        cl, cr = cand[:-1], cand[1:]
-        fl, fr = fc[:-1], fc[1:]
-        cross = (fl - rho) * (fr - rho) < 0
-        if np.any(cross):
-            roots = cl[cross] + (rho - fl[cross]) * (cr[cross] - cl[cross]) / (
-                fr[cross] - fl[cross]
-            )
-            cand = np.unique(np.concatenate([cand, roots]))
 
+def _cap_crossings_1d(f: GridFunction, cand: np.ndarray, rho: float) -> np.ndarray:
+    """Points between consecutive candidates where the order-1 f crosses the
+    cap rho, shape (N, 1): min(f, rho) kinks there."""
+    fc = f.eval(cand[:, None])
     cl, cr = cand[:-1], cand[1:]
-    mid = 0.5 * (cl + cr)
-    if f.order == 1:
-        fl = np.minimum(f.eval(cl[:, None]), rho)
-        fr = np.minimum(f.eval(cr[:, None]), rho)
-    else:
-        fm = np.minimum(f.eval(mid[:, None]), rho)
-    if g.order == 1:
-        gl = _shifted_eval(g, cl[:, None], eta)
-        gr = _shifted_eval(g, cr[:, None], eta)
-    else:
-        gm = _shifted_eval(g, mid[:, None], eta)
-
-    if f.order == 1 and g.order == 1:
-        sup = np.maximum(fl - gl, fr - gr)
-    elif f.order == 1:
-        sup = np.maximum(fl, fr) - gm
-    elif g.order == 1:
-        sup = fm - np.minimum(gl, gr)
-    else:
-        sup = fm - gm
-    return float(np.max(sup)) - eta
+    fl, fr = fc[:-1], fc[1:]
+    cross = (fl - rho) * (fr - rho) < 0
+    roots = cl[cross] + (rho - fl[cross]) * (cr[cross] - cl[cross]) / (
+        fr[cross] - fl[cross]
+    )
+    return roots[:, None]
 
 
 def _level_segments(f: GridFunction, rho: float) -> np.ndarray:
@@ -367,34 +345,31 @@ def _diag_crossings(
     return out
 
 
-def _direction_sup_2d_pl(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
-    """Exact sup of the violation for continuous (order-1) f and g on a
-    per-axis uniform 2-d grid: evaluate at every vertex of the kink
-    arrangement (lattice points, diagonal/line crossings, level-set points)."""
-    dom = f.grid.domain
-    reg = RhoBall(rho).region(dom)
-    if reg is None:
-        return -math.inf
-    (lo1, lo2), (hi1, hi2) = reg[0], reg[1]
+def _kinks_2d(
+    f: GridFunction,
+    cands: list[np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rho: float,
+    eta: float,
+) -> list[np.ndarray]:
+    """Vertices of the 2-d kink arrangement off the candidate lattice, for a
+    per-axis uniform grid: crossings of the candidate lines with the cell
+    diagonals of f and with those of g pulled back by eta, and the level set
+    {f = rho} with its crossings."""
+    x_cand, y_cand = cands
     a1, a2 = f.grid.axes
-    x_cand = _axis_candidates(a1, eta, lo1, hi1)
-    y_cand = _axis_candidates(a2, eta, lo2, hi2)
     h1 = a1[1] - a1[0]
     h2 = a2[1] - a2[0]
     sigma = h2 / h1
 
-    chunks: list[np.ndarray] = []
-    gx, gy = np.meshgrid(x_cand, y_cand, indexing="ij")
-    chunks.append(np.stack([gx.ravel(), gy.ravel()], axis=-1))
-    # crossings of candidate lines with the diagonals of f's cells and with
-    # the diagonals of g's cells pulled back by the shift
-    chunks.extend(_diag_crossings(x_cand, y_cand, a1, a2, 0.0, sigma))
+    chunks = _diag_crossings(x_cand, y_cand, a1, a2, 0.0, sigma)
     if eta != 0.0:
         chunks.extend(_diag_crossings(x_cand, y_cand, a1, a2, eta, sigma))
 
     # level set of f at height rho (only matters when the cap is active)
-    f_hi = float(f.eval(np.array([hi1, hi2])))
-    f_lo = float(f.eval(np.array([lo1, lo2])))
+    f_hi = float(f.eval(hi))
+    f_lo = float(f.eval(lo))
     if f_lo < rho < f_hi:
         segs = _level_segments(f, rho)
         if segs.size:
@@ -416,66 +391,59 @@ def _direction_sup_2d_pl(f: GridFunction, g: GridFunction, rho: float, eta: floa
                     segs, np.array([-sigma, 1.0]), intercepts
                 )
             )
+    return chunks
+
+
+def _sup_at_vertices(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
+    """Exact sup of the violation for continuous (order-1) f and g: evaluate
+    at every vertex of the kink arrangement.  Those are the candidate lattice
+    and, in 1-d, the points where f crosses the cap rho, or in 2-d the
+    vertices of ``_kinks_2d``."""
+    found = _candidates(f, rho, eta)
+    if found is None:
+        return -math.inf
+    lo, hi, cands = found
+    chunks = [lattice(cands)]
+    if f.grid.dim == 1:
+        chunks.append(_cap_crossings_1d(f, cands[0], rho))
+    else:
+        chunks.extend(_kinks_2d(f, cands, lo, hi, rho, eta))
 
     pts = np.concatenate([c for c in chunks if c.size], axis=0)
-    inside = (
-        (pts[:, 0] >= lo1 - _TINY)
-        & (pts[:, 0] <= hi1 + _TINY)
-        & (pts[:, 1] >= lo2 - _TINY)
-        & (pts[:, 1] <= hi2 + _TINY)
-    )
-    pts = np.clip(pts[inside], [lo1, lo2], [hi1, hi2])
+    # one comparison per column: np.all over an (N, m) mask is slower here
+    inside = np.ones(pts.shape[0], dtype=bool)
+    for i in range(pts.shape[1]):
+        inside &= (pts[:, i] >= lo[i] - _TINY) & (pts[:, i] <= hi[i] + _TINY)
+    pts = np.clip(pts[inside], lo, hi)
     fv = f.eval(pts)
     gv = _shifted_eval(g, pts, eta)
     return float(np.max(np.minimum(fv, rho) - gv)) - eta
 
 
-def _edges_from_candidates(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if cand.size == 1:
-        return cand, cand
-    return cand[:-1], cand[1:]
-
-
-def _direction_sup_2d_boxes(
-    f: GridFunction, g: GridFunction, rho: float, eta: float
-) -> float:
+def _sup_on_boxes(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
     """Exact sup when a step (order-0) function is involved: between candidate
     lines every order-0 factor is constant, and monotonicity pins the
-    continuous factor's extreme to a box corner."""
-    dom = f.grid.domain
-    reg = RhoBall(rho).region(dom)
-    if reg is None:
+    continuous factor's extreme to a box corner, the upper one for f and the
+    lower one for g.  Every candidate point is a box of zero width too: a
+    step function takes its next cell's value on a node, which the region's
+    upper faces attain.  Those boxes also cover a one-point axis (lo == hi)."""
+    found = _candidates(f, rho, eta)
+    if found is None:
         return -math.inf
-    (lo1, lo2), (hi1, hi2) = reg[0], reg[1]
-    a1, a2 = f.grid.axes
-    x_cand = _axis_candidates(a1, eta, lo1, hi1)
-    y_cand = _axis_candidates(a2, eta, lo2, hi2)
-    xl, xr = _edges_from_candidates(x_cand)
-    yl, yr = _edges_from_candidates(y_cand)
-
-    XL, YL = np.meshgrid(xl, yl, indexing="ij")
-    XR, YR = np.meshgrid(xr, yr, indexing="ij")
-    lower = np.stack([XL.ravel(), YL.ravel()], axis=-1)
-    upper = np.stack([XR.ravel(), YR.ravel()], axis=-1)
+    _, _, cands = found
+    points = lattice(cands)
+    lower = np.concatenate([lattice([c[:-1] for c in cands]), points])
+    upper = np.concatenate([lattice([c[1:] for c in cands]), points])
     mid = 0.5 * (lower + upper)
-
-    if f.order == 1:
-        fterm = np.minimum(f.eval(upper), rho)
-    else:
-        fterm = np.minimum(f.eval(mid), rho)
-    if g.order == 1:
-        gterm = _shifted_eval(g, lower, eta)
-    else:
-        gterm = _shifted_eval(g, mid, eta)
+    fterm = np.minimum(f.eval(upper if f.order == 1 else mid), rho)
+    gterm = _shifted_eval(g, lower if g.order == 1 else mid, eta)
     return float(np.max(fterm - gterm)) - eta
 
 
 def _direction_sup(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
-    if f.grid.dim == 1:
-        return _direction_sup_1d(f, g, rho, eta)
     if f.order == 1 and g.order == 1:
-        return _direction_sup_2d_pl(f, g, rho, eta)
-    return _direction_sup_2d_boxes(f, g, rho, eta)
+        return _sup_at_vertices(f, g, rho, eta)
+    return _sup_on_boxes(f, g, rho, eta)
 
 
 def _violation(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
@@ -845,8 +813,7 @@ def dl_rho_oracle(
         return 0.0
     lo, hi = reg
     axes = [np.linspace(lo[i], hi[i], samples_per_axis) for i in range(f.grid.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=-1)
+    X = lattice(axes)
     levels = np.linspace(-rho, rho, samples_per_axis)
     x0 = np.broadcast_to(levels[None, :], (X.shape[0], levels.size))
 

@@ -26,7 +26,7 @@ from .functions import (
     resample,
     upper_envelope,
 )
-from .grid import Domain, Grid, Rect, build_grid
+from .grid import Domain, Rect, build_grid
 from .metrics import (
     DistanceReport,
     RhoBall,
@@ -79,7 +79,6 @@ def verify_sandwich(
     f: GridFunction,
     g: GridFunction,
     rho: float,
-    grid: Grid | None = None,
     *,
     samples_per_axis: int = 9,
     tol: float = 1e-8,
@@ -91,8 +90,6 @@ def verify_sandwich(
     are 1-Lipschitz, so the oracle undershoots by at most twice the lattice
     covering radius.  That resolution term is reported as ``lattice_slack``.
     """
-    if grid is not None and grid != f.grid:
-        raise ValueError("explicit grid does not match the pair's grid")
     em = eta_minus(f, g, rho)
     ep = eta_plus(f, g, rho)
     hat = hat_dl_rho(f, g, rho, tol=tol)
@@ -129,7 +126,6 @@ def verify_sandwich(
 
 def distribution_error_pct(
     F: GridFunction,
-    grid: Grid | None = None,
     budget: int = 100_000,
     *,
     seed: int = 20250816,
@@ -143,8 +139,6 @@ def distribution_error_pct(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if grid is not None and grid != F.grid:
-        raise ValueError("explicit grid does not match the function's grid")
     grid = F.grid
     v = np.atleast_1d(F.eval(grid.node_lattice())).reshape(grid.shape)
     tol = -1e-9

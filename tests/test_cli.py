@@ -328,6 +328,21 @@ def test_study_rejects_delta_ladder_and_bad_factors(tmp_path):
                  str(tmp_path / "o"), "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("key,overrides", [
+    ("cells_per_axis", {"grid": {"cells_per_axis": [math.inf, 16]}}),
+    ("cells_per_axis", {"grid": {"cells_per_axis": [math.nan, 16]}}),
+    ("refinement_factors", {"refinement_factors": [1, math.inf]}),
+])
+def test_non_finite_integer_lists_are_config_errors(tmp_path, capsys, key, overrides):
+    # json.load accepts Infinity and NaN; int() of either raises
+    cfg = write_config(tmp_path / "run.json", **{"refinement_factors": [1, 2],
+                                                 **overrides})
+    assert main(["study", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 def test_study_rejects_bad_quad_points_up_front(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", delta=0.7,
                        grid={"cells_per_axis": 2},

@@ -227,17 +227,18 @@ def test_hypo_dist_estimate_report_fields(rng, unit_square_grid):
 # bisection, and its evaluation budget
 # ---------------------------------------------------------------------------
 
-_PATHS = ("1d", "2d-pl", "2d-boxes")
+_PATHS = ("1d", "1d-boxes", "2d-pl", "2d-boxes")
 
 
 def random_pair(seed: int, path: str):
-    """A random monotone pair that takes the given violation-sup path: 1-d,
-    2-d with two order-1 functions, or 2-d with an order-0 envelope."""
+    """A random monotone pair that takes the given violation-sup path: two
+    order-1 functions, or an order-0 envelope against either order, in 1-d
+    or 2-d."""
     rng = np.random.default_rng(seed)
-    dim = 1 if path == "1d" else 2
+    dim = 1 if path.startswith("1d") else 2
     g = build_grid(Domain([0.0] * dim, [1.0] * dim), int(rng.integers(2, 7)))
     F, G = random_monotone(rng, g), random_monotone(rng, g)
-    if path == "2d-boxes":
+    if path.endswith("boxes"):
         F = upper_envelope(F)
         if rng.random() < 0.5:
             G = upper_envelope(G)
@@ -290,3 +291,61 @@ def test_search_evaluation_budget():
     G = realize(UniformBox([2.7, 0.2], [5.7, 1.8]), g)
     rep = hypo_dist_estimate(F, G, quad_points=32)
     assert rep.evaluations <= 130
+
+
+def brute_force_violation(f, g, rho: float, eta: float) -> float:
+    """V(eta) for a 1-d pair from psi evaluated at points of the region: the
+    cuts where a factor of either direction can kink or jump (nodes, nodes
+    pulled back by eta, region ends, crossings of the cap rho), the midpoints
+    between cuts, and points 1e-12 inside each end, where the sup next to a
+    jump is approached."""
+    dom = f.grid.domain
+    lo = max(float(dom.lower[0]), -rho)
+    hi = min(float(dom.upper[0]), rho)
+    if lo > hi:  # the ball misses the domain
+        return -np.inf
+    axis = f.grid.axes[0]
+    cuts = [axis, axis - eta, [lo, hi]]
+    for h in (f, g):
+        if h.order == 1:
+            v = h.values
+            k = np.nonzero((v[:-1] - rho) * (v[1:] - rho) < 0)[0]
+            s = (rho - v[k]) / (v[k + 1] - v[k])
+            cuts.append(axis[k] + s * (axis[k + 1] - axis[k]))
+    c = np.unique(np.clip(np.concatenate(cuts), lo, hi))
+    cl, cr = c[:-1], c[1:]
+    x = np.concatenate([c, 0.5 * (cl + cr), np.minimum(cl + 1e-12, cr),
+                        np.maximum(cr - 1e-12, cl)])[:, None]
+    xs = np.minimum(x + eta, dom.upper[0])
+
+    def psi(a, b):
+        return np.minimum(a.eval(x), rho) - b.eval(xs) - eta
+
+    return float(max(np.max(psi(f, g)), np.max(psi(g, f))))
+
+
+@pytest.mark.parametrize("f_order,g_order", [(1, 1), (1, 0), (0, 1), (0, 0)])
+def test_violation_1d_matches_brute_force(f_order, g_order):
+    rng = np.random.default_rng(10 * f_order + g_order)
+    # the last domain meets the ball in the single point 0.5 when rho = 0.5
+    for lower, upper in (([0.0], [1.0]), ([-1.0], [2.0]), ([0.5], [1.5])):
+        g = build_grid(Domain(lower, upper), int(rng.integers(2, 9)))
+        for _ in range(8):
+            F, G = random_monotone(rng, g), random_monotone(rng, g)
+            F = F if f_order == 1 else upper_envelope(F)
+            G = G if g_order == 1 else upper_envelope(G)
+            for rho in (0.5, *rng.uniform(0.05, 3.0, 3)):
+                for eta in (0.0, *rng.uniform(0.0, 1.0, 3)):
+                    assert _violation(F, G, rho, eta) == pytest.approx(
+                        brute_force_violation(F, G, rho, eta), abs=1e-9
+                    ), (lower, rho, eta)
+
+
+def test_step_function_value_on_the_region_face_counts():
+    # a step function takes its next cell's value on a node; with rho on a
+    # node, the ball region's upper face attains that value
+    g = build_grid(Domain([0.0, 0.0], [2.0, 2.0]), 3)  # cells of side 1
+    F = GridFunction(g, 0, np.array([[0.0, 0.1], [0.6, 0.8]]), monotone=True)
+    Z = GridFunction(g, 1, np.zeros(g.shape), monotone=True)
+    assert hat_dl_rho(F, Z, 0.9) == 0.0  # the region sees the first cell only
+    assert hat_dl_rho(F, Z, 1.0) == pytest.approx(0.8, abs=1e-8)  # F(1, 1)
