@@ -421,19 +421,21 @@ def _sup_at_vertices(f: GridFunction, g: GridFunction, rho: float, eta: float) -
 
 
 def _sup_on_boxes(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
-    """Exact sup when a step (order-0) function is involved: between candidate
-    lines every order-0 factor is constant, and monotonicity pins the
-    continuous factor's extreme to a box corner, the upper one for f and the
-    lower one for g.  Every candidate point is a box of zero width too: a
-    step function takes its next cell's value on a node, which the region's
-    upper faces attain.  Those boxes also cover a one-point axis (lo == hi)."""
+    """Exact sup when a step (order-0) function is involved.  On each axis
+    the candidates c_0 < ... < c_n split [lo, hi] into the half-open pieces
+    [c_k, c_k+1) and the point {c_n}; step functions are right-continuous,
+    so every order-0 factor is constant on a product of such pieces, and
+    monotonicity pins the continuous factor's extreme to a box corner, the
+    upper one for f and the lower one for g.  Pairing each candidate with
+    its successor, and the last with itself, covers the region's upper
+    faces, where a step function on a node takes its next cell's value, and
+    a one-point axis (lo == hi)."""
     found = _candidates(f, rho, eta)
     if found is None:
         return -math.inf
     _, _, cands = found
-    points = lattice(cands)
-    lower = np.concatenate([lattice([c[:-1] for c in cands]), points])
-    upper = np.concatenate([lattice([c[1:] for c in cands]), points])
+    lower = lattice(cands)
+    upper = lattice([np.append(c[1:], c[-1]) for c in cands])
     mid = 0.5 * (lower + upper)
     fterm = np.minimum(f.eval(upper if f.order == 1 else mid), rho)
     gterm = _shifted_eval(g, lower if g.order == 1 else mid, eta)

@@ -24,6 +24,7 @@ from hypodist import (
     realize,
     upper_envelope,
 )
+from hypodist.grid import lattice
 from hypodist.metrics import SUP_TOL, _violation
 from tests.conftest import random_monotone
 
@@ -294,29 +295,32 @@ def test_search_evaluation_budget():
 
 
 def brute_force_violation(f, g, rho: float, eta: float) -> float:
-    """V(eta) for a 1-d pair from psi evaluated at points of the region: the
-    cuts where a factor of either direction can kink or jump (nodes, nodes
-    pulled back by eta, region ends, crossings of the cap rho), the midpoints
-    between cuts, and points 1e-12 inside each end, where the sup next to a
-    jump is approached."""
+    """V(eta) from psi evaluated on a lattice of per-axis points of the
+    region: the cuts where a factor of either direction can kink or jump
+    (nodes, nodes pulled back by eta, region ends and, in 1-d, crossings of
+    the cap rho), the midpoints between cuts, and points 1e-12 inside each
+    end, where the sup next to a jump is approached.  In 2-d the lattice
+    holds every kink only when one member is a step function."""
     dom = f.grid.domain
-    lo = max(float(dom.lower[0]), -rho)
-    hi = min(float(dom.upper[0]), rho)
-    if lo > hi:  # the ball misses the domain
+    lo = np.maximum(dom.lower, -rho)
+    hi = np.minimum(dom.upper, rho)
+    if np.any(lo > hi):  # the ball misses the domain
         return -np.inf
-    axis = f.grid.axes[0]
-    cuts = [axis, axis - eta, [lo, hi]]
-    for h in (f, g):
-        if h.order == 1:
-            v = h.values
-            k = np.nonzero((v[:-1] - rho) * (v[1:] - rho) < 0)[0]
-            s = (rho - v[k]) / (v[k + 1] - v[k])
-            cuts.append(axis[k] + s * (axis[k + 1] - axis[k]))
-    c = np.unique(np.clip(np.concatenate(cuts), lo, hi))
-    cl, cr = c[:-1], c[1:]
-    x = np.concatenate([c, 0.5 * (cl + cr), np.minimum(cl + 1e-12, cr),
-                        np.maximum(cr - 1e-12, cl)])[:, None]
-    xs = np.minimum(x + eta, dom.upper[0])
+    per_axis = []
+    for i, axis in enumerate(f.grid.axes):
+        cuts = [axis, axis - eta, [lo[i], hi[i]]]
+        for h in (f, g) if f.grid.dim == 1 else ():
+            if h.order == 1:
+                v = h.values
+                k = np.nonzero((v[:-1] - rho) * (v[1:] - rho) < 0)[0]
+                s = (rho - v[k]) / (v[k + 1] - v[k])
+                cuts.append(axis[k] + s * (axis[k + 1] - axis[k]))
+        c = np.unique(np.clip(np.concatenate(cuts), lo[i], hi[i]))
+        cl, cr = c[:-1], c[1:]
+        per_axis.append(np.concatenate([c, 0.5 * (cl + cr), np.minimum(cl + 1e-12, cr),
+                                        np.maximum(cr - 1e-12, cl)]))
+    x = lattice(per_axis)
+    xs = np.minimum(x + eta, dom.upper)
 
     def psi(a, b):
         return np.minimum(a.eval(x), rho) - b.eval(xs) - eta
@@ -335,6 +339,30 @@ def test_violation_1d_matches_brute_force(f_order, g_order):
             F = F if f_order == 1 else upper_envelope(F)
             G = G if g_order == 1 else upper_envelope(G)
             for rho in (0.5, *rng.uniform(0.05, 3.0, 3)):
+                for eta in (0.0, *rng.uniform(0.0, 1.0, 3)):
+                    assert _violation(F, G, rho, eta) == pytest.approx(
+                        brute_force_violation(F, G, rho, eta), abs=1e-9
+                    ), (lower, rho, eta)
+
+
+@pytest.mark.parametrize("f_order,g_order", [(1, 0), (0, 1), (0, 0)])
+def test_violation_2d_boxes_match_brute_force(f_order, g_order):
+    rng = np.random.default_rng(100 + 10 * f_order + g_order)
+    # at rho = 0.5 the last domain meets the ball in the segment
+    # [0, 0.5] x {0.5}: one axis is a single point, the other is not
+    for lower, upper in (([0.0, 0.0], [1.0, 1.0]), ([0.0, 0.5], [1.0, 1.5])):
+        for _ in range(8):
+            g = build_grid(Domain(lower, upper), [int(n) for n in rng.integers(2, 7, 2)])
+            # a ramp in the first coordinate keeps the lower face {y = lower[1]}
+            # from being flat at 0
+            ramp = (g.axes[0] - lower[0])[:, None] * np.ones(g.shape)
+            F, G = (GridFunction(g, 1, random_monotone(rng, g).values
+                                 + rng.uniform(0.1, 1.0) * ramp, monotone=True)
+                    for _ in range(2))
+            F = F if f_order == 1 else upper_envelope(F)
+            G = G if g_order == 1 else upper_envelope(G)
+            # 0.5 and 1 fall on nodes whenever the cell counts allow
+            for rho in (0.5, 1.0, *rng.uniform(0.05, 2.0, 2)):
                 for eta in (0.0, *rng.uniform(0.0, 1.0, 3)):
                     assert _violation(F, G, rho, eta) == pytest.approx(
                         brute_force_violation(F, G, rho, eta), abs=1e-9
