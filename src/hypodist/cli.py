@@ -530,6 +530,7 @@ def cmd_distance(args) -> int:
             "upper_bound": integral.upper_bound,
             "method": integral.method,
             "evaluations": integral.evaluations,
+            "points": integral.points,
         },
     }
     _dump_json(report, os.path.join(out, "distance.json"))

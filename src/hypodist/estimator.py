@@ -284,11 +284,14 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
         cf = np.hstack([w_vals, np.ones_like(s_col), np.ones((n_cells, 1)),
                         -np.ones_like(s_col)])
         w_lower = w_nodes.shape[1] + int(slack)
-        w_upper = 1 + int(slack)
         entries = np.ones(idx.shape, dtype=bool)
+        # exact-zero weights add nothing to a row (HiGHS discards them too)
+        entries[:, : w_nodes.shape[1]] = w_vals != 0.0
         entries[:, w_lower:] = keep[:, None]
         rows = np.stack([np.ones(n_cells, dtype=bool), keep], axis=1)
-        lengths = np.broadcast_to([w_lower, w_upper], rows.shape)[rows]
+        lengths = np.stack([np.count_nonzero(entries[:, :w_lower], axis=1),
+                            np.count_nonzero(entries[:, w_lower:], axis=1)],
+                           axis=1)[rows]
         model.add_constraints(
             idx[entries],
             cf[entries],

@@ -143,9 +143,14 @@ class GridFunction:
             )
             out = self.values.reshape(-1)[flat]
         else:
-            nodes, weights = interpolation_weights(self.grid, pts)
-            out = np.einsum("nk,nk->n", self.values.reshape(-1)[nodes], weights)
+            out = self.interpolate(*interpolation_weights(self.grid, pts))
         return float(out[0]) if single else out
+
+    def interpolate(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Order-1 values from :func:`interpolation_weights` output: the
+        weighted sum of node values per point.  Functions sharing a grid
+        can share one set of weights."""
+        return np.einsum("nk,nk->n", self.values.reshape(-1)[nodes], weights)
 
     def cell_sups(self) -> np.ndarray:
         """Supremum of the function over each (closed) cell, cell-lattice shaped.
@@ -425,18 +430,15 @@ def interpolation_weights(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, n
         return nodes, weights
     if m == 2:
         n2 = grid.shape[1]
-        i, j = idx[:, 0], idx[:, 1]
-        ll = i * n2 + j
-        lr = (i + 1) * n2 + j
-        ul = i * n2 + (j + 1)
-        ur = (i + 1) * n2 + (j + 1)
+        ll = idx[:, 0] * n2 + idx[:, 1]
         t1, t2 = loc[:, 0], loc[:, 1]
-        lower = t2 <= t1
-        nodes = np.where(lower[:, None], np.stack([ll, lr, ur], axis=1),
-                         np.stack([ll, ul, ur], axis=1))
-        w_lower = np.stack([1.0 - t1, t1 - t2, t2], axis=1)
-        w_upper = np.stack([1.0 - t2, t2 - t1, t1], axis=1)
-        weights = np.where(lower[:, None], w_lower, w_upper)
+        # the triangle below the cell diagonal (t2 <= t1) has the corners
+        # ll, lr, ur and weights 1 - t1, t1 - t2, t2; the one above it has
+        # ll, ul, ur and 1 - t2, t2 - t1, t1
+        mid = np.where(t2 <= t1, ll + n2, ll + 1)
+        nodes = np.stack([ll, mid, ll + n2 + 1], axis=1)
+        weights = np.stack([1.0 - np.maximum(t1, t2), np.abs(t1 - t2),
+                            np.minimum(t1, t2)], axis=1)
         return nodes, weights
     raise ValueError(f"interpolation is implemented for m in {{1, 2}}, got m = {m}")
 

@@ -32,7 +32,13 @@ to fast-and-certified:
   enumerated.  When a step (order-0) function is involved, the candidate
   lines cut the region into boxes on which every step factor is constant,
   and monotonicity puts the continuous factor's extreme at a box corner.
-  Write V(eta) for the larger of the two directions' violation sups.  Every
+  Write V(eta) for the larger of the two directions' violation sups.  The
+  two functions share a grid, so both directions are maximized over one
+  point set per shift: the candidate lattice (or boxes) and the cap kinks
+  of both functions.  For two order-1 functions the set is located once as
+  it is and once pulled forward by eta, and f and g are both read off each
+  location.  The region, the cap tests and the level sets {f = rho},
+  {g = rho} depend on rho alone and are set up once per radius.  Every
   branch of the violation falls with slope at most -1 in eta (g is
   nondecreasing) over a region that does not depend on eta, so
 
@@ -57,11 +63,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .functions import GridFunction
-from .grid import Domain, lattice, locate_batch
+from .functions import GridFunction, interpolation_weights
+from .grid import Domain, Grid, lattice, locate_batch
 
 logger = logging.getLogger(__name__)
 
@@ -111,7 +119,9 @@ class DistanceReport:
     ``quad_term`` (when set) is the quadrature oscillation sum — the part of
     the bracket width attributable to finite radial resolution, as opposed to
     the exactly-handled exponential tail.  ``evaluations`` (when set) counts
-    the violation evaluations of the shift-distance searches over all radii.
+    the violation evaluations of the shift-distance searches over all radii,
+    and ``points`` the region points they evaluated (boxes, when a step
+    function is involved).
     """
 
     value: float
@@ -120,6 +130,7 @@ class DistanceReport:
     method: str
     quad_term: float | None = None
     evaluations: int | None = None
+    points: int | None = None
 
     def width(self) -> float:
         return self.upper_bound - self.lower_bound
@@ -164,42 +175,33 @@ def _validate_pair(f: GridFunction, g: GridFunction, *, need_uniform: bool) -> N
         )
 
 
-def _shifted_eval(g: GridFunction, pts: np.ndarray, eta: float) -> np.ndarray:
-    dom = g.grid.domain
-    return g.eval(np.clip(pts + eta, dom.lower, dom.upper))
-
-
 # -- exact violation maximizer ----------------------------------------------------
 #
-# One direction of the shift condition at shift eta and radius rho fails by
+# The shift condition at shift eta and radius rho fails in the direction
+# (f, g) by
 #
-#     psi(x) = min(f(x), rho) - g(min(x + eta, b)) - eta ,
+#     psi_fg(x) = min(f(x), rho) - g(min(x + eta, b)) - eta ,
 #
-# and the condition holds iff  sup psi <= 0  over the region
-# R = {x in S : ||x||_inf <= rho}.  Both maximizers below start from the same
-# per-axis candidates: f's nodes, g's nodes pulled back by eta, and the
-# region's bounds.  Between consecutive candidates no node of either function
-# is crossed on any axis.
-
-
-def _axis_candidates(
-    axis: np.ndarray, eta: float, lo: float, hi: float
-) -> np.ndarray:
-    cand = np.concatenate([axis, axis - eta, [lo, hi]])
-    cand = np.clip(cand, lo, hi)
-    return np.unique(cand)
+# and in the direction (g, f) by psi_gf, the same with f and g swapped.  It
+# holds iff V(eta) = sup max(psi_fg, psi_gf) <= 0 over the region
+# R = {x in S : ||x||_inf <= rho}.  f and g share a grid, so both directions
+# share one point set per shift, built on the same per-axis candidates: the
+# nodes, the nodes pulled back by eta, and the region's bounds.  Between
+# consecutive candidates no node of either function is crossed on any axis.
+# What depends on rho alone (the region, the cap tests and, in 2-d, the
+# level sets of the capped functions) is set up once per radius by
+# ``_violation_at``.
 
 
 def _candidates(
-    f: GridFunction, rho: float, eta: float
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None:
-    """Region bounds and per-axis candidates, or None when the region is empty."""
-    reg = RhoBall(rho).region(f.grid.domain)
-    if reg is None:
-        return None
-    lo, hi = reg
-    cands = [_axis_candidates(a, eta, lo[i], hi[i]) for i, a in enumerate(f.grid.axes)]
-    return lo, hi, cands
+    grid: Grid, lo: np.ndarray, hi: np.ndarray, eta: float
+) -> list[np.ndarray]:
+    """Per-axis candidates at shift eta in the region [lo, hi]."""
+    out = []
+    for i, axis in enumerate(grid.axes):
+        cand = np.concatenate([axis, axis - eta, [lo[i], hi[i]]])
+        out.append(np.unique(np.clip(cand, lo[i], hi[i])))
+    return out
 
 
 def _cap_crossings_1d(f: GridFunction, cand: np.ndarray, rho: float) -> np.ndarray:
@@ -346,19 +348,15 @@ def _diag_crossings(
 
 
 def _kinks_2d(
-    f: GridFunction,
-    cands: list[np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    rho: float,
-    eta: float,
+    grid: Grid, levels: list[np.ndarray], cands: list[np.ndarray], eta: float
 ) -> list[np.ndarray]:
     """Vertices of the 2-d kink arrangement off the candidate lattice, for a
     per-axis uniform grid: crossings of the candidate lines with the cell
-    diagonals of f and with those of g pulled back by eta, and the level set
-    {f = rho} with its crossings."""
+    diagonals and with those pulled back by eta, and each level set
+    {h = rho} in ``levels`` (segments from ``_level_segments``) with its
+    crossings of the candidate lines and the pulled-back diagonals."""
     x_cand, y_cand = cands
-    a1, a2 = f.grid.axes
+    a1, a2 = grid.axes
     h1 = a1[1] - a1[0]
     h2 = a2[1] - a2[0]
     sigma = h2 / h1
@@ -366,92 +364,131 @@ def _kinks_2d(
     chunks = _diag_crossings(x_cand, y_cand, a1, a2, 0.0, sigma)
     if eta != 0.0:
         chunks.extend(_diag_crossings(x_cand, y_cand, a1, a2, eta, sigma))
-
-    # level set of f at height rho (only matters when the cap is active)
-    f_hi = float(f.eval(hi))
-    f_lo = float(f.eval(lo))
-    if f_lo < rho < f_hi:
-        segs = _level_segments(f, rho)
-        if segs.size:
-            chunks.append(segs.reshape(-1, 2))
-            chunks.append(
-                _segment_line_crossings(segs, np.array([1.0, 0.0]), x_cand)
-            )
-            chunks.append(
-                _segment_line_crossings(segs, np.array([0.0, 1.0]), y_cand)
-            )
-            # crossings with the pulled-back diagonal line family
-            # x2 - sigma * x1 = const; the intercepts form an arithmetic set
-            c0 = (a2[0] - eta) - sigma * (a1[0] - eta)
-            k_lo = -(a1.size - 1)
-            k_hi = a2.size - 1
-            intercepts = c0 + h2 * np.arange(k_lo, k_hi + 1)
-            chunks.append(
-                _segment_line_crossings(
-                    segs, np.array([-sigma, 1.0]), intercepts
-                )
-            )
+    if not levels:
+        return chunks
+    # the pulled-back diagonal line family x2 - sigma * x1 = const; the
+    # intercepts form an arithmetic set
+    c0 = (a2[0] - eta) - sigma * (a1[0] - eta)
+    intercepts = c0 + h2 * np.arange(-(a1.size - 1), a2.size)
+    for segs in levels:
+        chunks.append(segs.reshape(-1, 2))
+        chunks.append(_segment_line_crossings(segs, np.array([1.0, 0.0]), x_cand))
+        chunks.append(_segment_line_crossings(segs, np.array([0.0, 1.0]), y_cand))
+        chunks.append(
+            _segment_line_crossings(segs, np.array([-sigma, 1.0]), intercepts)
+        )
     return chunks
 
 
-def _sup_at_vertices(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
-    """Exact sup of the violation for continuous (order-1) f and g: evaluate
-    at every vertex of the kink arrangement.  Those are the candidate lattice
-    and, in 1-d, the points where f crosses the cap rho, or in 2-d the
-    vertices of ``_kinks_2d``."""
-    found = _candidates(f, rho, eta)
-    if found is None:
-        return -math.inf
-    lo, hi, cands = found
+def _sup_at_vertices(
+    f: GridFunction,
+    g: GridFunction,
+    rho: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    capped: list[GridFunction],
+    levels: list[np.ndarray],
+    eta: float,
+) -> tuple[float, int]:
+    """Exact V(eta) for continuous (order-1) f and g, and the number of
+    region points evaluated.  Both directions are piecewise linear, so V is
+    the max over the vertices of their joint kink arrangement: the
+    candidate lattice and the kinks of the caps, which are the points where
+    a function in ``capped`` crosses rho in 1-d, or in 2-d ``_kinks_2d``
+    with the level sets ``levels`` of those functions.  The points are
+    located twice, as they are and pulled forward by eta, and f and g are
+    both read off each set of weights."""
+    cands = _candidates(f.grid, lo, hi, eta)
     chunks = [lattice(cands)]
     if f.grid.dim == 1:
-        chunks.append(_cap_crossings_1d(f, cands[0], rho))
+        chunks.extend(_cap_crossings_1d(h, cands[0], rho) for h in capped)
     else:
-        chunks.extend(_kinks_2d(f, cands, lo, hi, rho, eta))
-
+        chunks.extend(_kinks_2d(f.grid, levels, cands, eta))
     pts = np.concatenate([c for c in chunks if c.size], axis=0)
     # one comparison per column: np.all over an (N, m) mask is slower here
     inside = np.ones(pts.shape[0], dtype=bool)
     for i in range(pts.shape[1]):
         inside &= (pts[:, i] >= lo[i] - _TINY) & (pts[:, i] <= hi[i] + _TINY)
     pts = np.clip(pts[inside], lo, hi)
-    fv = f.eval(pts)
-    gv = _shifted_eval(g, pts, eta)
-    return float(np.max(np.minimum(fv, rho) - gv)) - eta
+    dom = f.grid.domain
+    here = interpolation_weights(f.grid, pts)
+    ahead = interpolation_weights(f.grid, np.clip(pts + eta, dom.lower, dom.upper))
+    psi = np.maximum(
+        np.minimum(f.interpolate(*here), rho) - g.interpolate(*ahead),
+        np.minimum(g.interpolate(*here), rho) - f.interpolate(*ahead),
+    )
+    return float(np.max(psi)) - eta, pts.shape[0]
 
 
-def _sup_on_boxes(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
-    """Exact sup when a step (order-0) function is involved.  On each axis
-    the candidates c_0 < ... < c_n split [lo, hi] into the half-open pieces
-    [c_k, c_k+1) and the point {c_n}; step functions are right-continuous,
-    so every order-0 factor is constant on a product of such pieces, and
-    monotonicity pins the continuous factor's extreme to a box corner, the
-    upper one for f and the lower one for g.  Pairing each candidate with
-    its successor, and the last with itself, covers the region's upper
-    faces, where a step function on a node takes its next cell's value, and
-    a one-point axis (lo == hi)."""
-    found = _candidates(f, rho, eta)
-    if found is None:
-        return -math.inf
-    _, _, cands = found
+def _sup_on_boxes(
+    f: GridFunction,
+    g: GridFunction,
+    rho: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    eta: float,
+) -> tuple[float, int]:
+    """Exact V(eta) when a step (order-0) function is involved, and the
+    number of boxes evaluated.  On each axis the candidates c_0 < ... < c_n
+    split [lo, hi] into the half-open pieces [c_k, c_k+1) and the point
+    {c_n}; step functions are right-continuous, so every order-0 factor is
+    constant on a product of such pieces, and monotonicity pins the
+    continuous factor's extreme to a box corner, the upper one for the
+    capped side and the lower one for the shifted side.  Pairing each
+    candidate with its successor, and the last with itself, covers the
+    region's upper faces, where a step function on a node takes its next
+    cell's value, and a one-point axis (lo == hi).  Both directions use the
+    same lower, upper and mid lattices."""
+    cands = _candidates(f.grid, lo, hi, eta)
     lower = lattice(cands)
     upper = lattice([np.append(c[1:], c[-1]) for c in cands])
     mid = 0.5 * (lower + upper)
-    fterm = np.minimum(f.eval(upper if f.order == 1 else mid), rho)
-    gterm = _shifted_eval(g, lower if g.order == 1 else mid, eta)
-    return float(np.max(fterm - gterm)) - eta
+    dom = f.grid.domain
+
+    def capped_side(h: GridFunction) -> np.ndarray:
+        return np.minimum(h.eval(upper if h.order == 1 else mid), rho)
+
+    def shifted_side(h: GridFunction) -> np.ndarray:
+        pts = lower if h.order == 1 else mid
+        return h.eval(np.clip(pts + eta, dom.lower, dom.upper))
+
+    psi = np.maximum(
+        capped_side(f) - shifted_side(g), capped_side(g) - shifted_side(f)
+    )
+    return float(np.max(psi)) - eta, lower.shape[0]
 
 
-def _direction_sup(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
-    if f.order == 1 and g.order == 1:
-        return _sup_at_vertices(f, g, rho, eta)
-    return _sup_on_boxes(f, g, rho, eta)
+def _violation_at(
+    f: GridFunction, g: GridFunction, rho: float
+) -> Callable[[float], tuple[float, int]]:
+    """eta -> (V(eta), region points evaluated) at radius rho.
+
+    The work that depends on rho alone is done here, once per radius: the
+    region, the cap tests h(lo) < rho < h(hi), which pick the order-1
+    functions whose cap cuts the region, and in 2-d the level sets
+    {h = rho} of those functions."""
+    reg = RhoBall(rho).region(f.grid.domain)
+    if reg is None:
+        return lambda eta: (-math.inf, 0)
+    lo, hi = reg
+    if f.order == 0 or g.order == 0:
+        return partial(_sup_on_boxes, f, g, rho, lo, hi)
+    corners = interpolation_weights(f.grid, np.stack([lo, hi]))
+    capped = []
+    for h in (f, g):
+        at_lo, at_hi = h.interpolate(*corners)
+        if at_lo < rho < at_hi:
+            capped.append(h)
+    levels = []
+    if f.grid.dim == 2:
+        levels = [s for s in (_level_segments(h, rho) for h in capped) if s.size]
+    return partial(_sup_at_vertices, f, g, rho, lo, hi, capped, levels)
 
 
 def _violation(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
     """V(eta): the larger violation sup of the two directions.  The shift
     condition holds at eta iff V(eta) <= SUP_TOL; V is symmetric in (f, g)."""
-    return max(_direction_sup(f, g, rho, eta), _direction_sup(g, f, rho, eta))
+    return _violation_at(f, g, rho)(eta)[0]
 
 
 def kenmochi_ok(f: GridFunction, g: GridFunction, rho: float, eta: float) -> bool:
@@ -466,9 +503,9 @@ def kenmochi_ok(f: GridFunction, g: GridFunction, rho: float, eta: float) -> boo
 
 def _hat_bracketed(
     f: GridFunction, g: GridFunction, rho: float, tol: float, lo: float
-) -> tuple[float, int]:
-    """Least feasible shift at or above lo, to within tol, and the number of
-    violation evaluations spent on it.
+) -> tuple[float, int, int]:
+    """Least feasible shift at or above lo, to within tol, with the number of
+    violation evaluations spent on it and the region points they evaluated.
 
     The search keeps a bracket of *evaluated* shifts: V(lo) > SUP_TOL and
     V(hi) <= SUP_TOL.  It stops once hi - lo <= tol and returns hi, so the
@@ -479,13 +516,17 @@ def _hat_bracketed(
     move is probed too.  The bound only proposes shifts; every end is
     certified by its own evaluation.  A midpoint replaces the secant when two
     rounds failed to halve the bracket, as on steps of order-0 functions.
+    The per-radius setup of V (``_violation_at``) is done once, before the
+    first probe.
     """
-    evaluations = 0
+    violation = _violation_at(f, g, rho)
+    evaluations = points = 0
 
     def probe(eta: float) -> bool:
-        nonlocal lo, v_lo, hi, v_hi, evaluations
+        nonlocal lo, v_lo, hi, v_hi, evaluations, points
+        v, n = violation(eta)
         evaluations += 1
-        v = _violation(f, g, rho, eta)
+        points += n
         if v <= SUP_TOL:
             hi, v_hi = eta, v
             return True
@@ -494,7 +535,7 @@ def _hat_bracketed(
 
     hi = v_hi = v_lo = math.nan
     if probe(lo):
-        return lo, evaluations
+        return lo, evaluations, points
     # rounding (or a monotone flag accepted within MONOTONE_ATOL) can leave
     # lo + V(lo) just infeasible; shift 1 is feasible for [0, 1]-valued inputs
     first = min(1.0, lo + v_lo)
@@ -514,7 +555,7 @@ def _hat_bracketed(
         if lo + 0.5 * tol < step < hi - 0.5 * tol:
             probe(step)
         widths.append(hi - lo)
-    return hi, evaluations
+    return hi, evaluations, points
 
 
 def hat_dl_rho(
@@ -906,10 +947,11 @@ def hypo_dist_estimate(
     args = args[args > 0]
     hats = {0.0: 0.0}
     prev = 0.0
-    evaluations = 0
+    evaluations = points = 0
     for r in args:
-        val, spent = _hat_bracketed(f, g, float(r), tol, lo=prev)
+        val, spent, seen = _hat_bracketed(f, g, float(r), tol, lo=prev)
         evaluations += spent
+        points += seen
         # the shift distance is nondecreasing in rho; enforce it on the
         # computed sequence so the bracket holds by construction
         prev = max(prev, val)
@@ -933,12 +975,13 @@ def hypo_dist_estimate(
         )
     logger.debug(
         "hypo_dist_estimate: value=%.6g bracket=[%.6g, %.6g] "
-        "(%d radii, %d violation evaluations)",
+        "(%d radii, %d violation evaluations, %d region points)",
         value,
         lower,
         upper,
         len(hats),
         evaluations,
+        points,
     )
     return DistanceReport(
         value=value,
@@ -947,4 +990,5 @@ def hypo_dist_estimate(
         method=f"shift-sandwich-quadrature-{quad_points}",
         quad_term=float(np.sum(w * (hat_2b - hat_a))),
         evaluations=evaluations,
+        points=points,
     )

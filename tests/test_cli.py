@@ -287,6 +287,7 @@ def test_distance_passes_config_tol_to_the_integral(tmp_path, monkeypatch):
     assert seen == [{"quad_points": 4, "tol": 1e-4}]
     doc = json.load(open(tmp_path / "out" / "distance.json"))
     assert doc["hypo_distance"]["evaluations"] >= 1
+    assert doc["hypo_distance"]["points"] >= doc["hypo_distance"]["evaluations"]
 
 
 def test_validate_subcommand(tmp_path):

@@ -94,7 +94,8 @@ def reference_lp(problem, eta):
     """Row-by-row build of the estimation LP in its documented row order:
     monotone rows axis by axis, distribution rows, growth rows (axis-0
     edges, axis-1 edges, diagonals), then per anchor each cell's lower row
-    followed by its upper row when kept."""
+    followed by its upper row when kept.  A lower row leaves out the
+    interpolation weights that are exactly zero."""
     grid, shape, rho = problem.grid, problem.shape, problem.rho
     dims, m, n = grid.shape, grid.dim, grid.n_nodes
     rows, counts = [], dict.fromkeys(
@@ -158,8 +159,9 @@ def reference_lp(problem, eta):
         at_probe = np.atleast_1d(anchor.eval(probe))
         extra_idx, extra_cf = ([s], [1.0]) if slack else ([], [])
         for k, c in enumerate(cells):
-            add(f"{tag}_lower", list(w_nodes[k]) + extra_idx, list(w_vals[k]) + extra_cf,
-                ">=", min(at_u[k], rho) - r)
+            nz = w_vals[k] != 0.0  # exact-zero weights are left out
+            add(f"{tag}_lower", list(w_nodes[k][nz]) + extra_idx,
+                list(w_vals[k][nz]) + extra_cf, ">=", min(at_u[k], rho) - r)
             if at_probe[k] + r < rho:
                 add(f"{tag}_upper", [node(*np.add(c, 1))] + extra_idx,
                     [1.0] + [-v for v in extra_cf], "<=", at_probe[k] + r)

@@ -284,14 +284,26 @@ def test_search_matches_reference_bisection(seed, path, rho):
     assert abs(hat_dl_rho(F, G, rho) - reference_bisection(F, G, rho)) <= 1e-8
 
 
-def test_search_evaluation_budget():
-    # the uuv geometry with box sources at 24x8 cells; the bisection it
-    # replaced spent 646 feasibility tests (1,022 violation sups) here
+def _uuv_box_pair():
+    """The uuv geometry with box sources at 24x8 cells."""
     g = build_grid(Domain([0.0, 0.0], [6.0, 2.0]), [25, 9])
     F = realize(UniformBox([0.3, 0.2], [3.3, 1.8]), g)
     G = realize(UniformBox([2.7, 0.2], [5.7, 1.8]), g)
-    rep = hypo_dist_estimate(F, G, quad_points=32)
+    return F, G
+
+
+def test_search_evaluation_budget():
+    # the bisection it replaced spent 646 feasibility tests (1,022
+    # violation sups) here
+    rep = hypo_dist_estimate(*_uuv_box_pair(), quad_points=32)
     assert rep.evaluations <= 130
+
+
+def test_search_point_budget():
+    # 87,811 region points when both directions share one point set per
+    # shift
+    rep = hypo_dist_estimate(*_uuv_box_pair(), quad_points=32)
+    assert rep.points <= 95_000
 
 
 def brute_force_violation(f, g, rho: float, eta: float) -> float:
@@ -367,6 +379,51 @@ def test_violation_2d_boxes_match_brute_force(f_order, g_order):
                     assert _violation(F, G, rho, eta) == pytest.approx(
                         brute_force_violation(F, G, rho, eta), abs=1e-9
                     ), (lower, rho, eta)
+
+
+def test_violation_2d_vertices_within_lipschitz_sandwich():
+    # V for two order-1 functions against psi sampled on a fine lattice of
+    # the region: V is the exact sup, so it is at least the lattice max and
+    # at most that plus the Lipschitz constant times half the spacing
+    rng = np.random.default_rng(6)
+    for k in range(24):
+        lower = rng.uniform(-0.6, 0.3, 2)
+        upper = lower + rng.uniform(0.8, 2.5, 2)
+        g = build_grid(Domain(lower, upper), [int(n) for n in rng.integers(3, 10, 2)])
+
+        def member(top: float) -> GridFunction:
+            if k % 2 == 0:
+                v = random_monotone(rng, g).values
+            else:  # monotone, but cells can carry negative mass
+                u, w = (np.cumsum(rng.exponential(size=n)) for n in g.shape)
+                v = np.maximum.outer(u / u[-1], w / w[-1])
+            return GridFunction(g, 1, top * v / np.max(v), monotone=True)
+
+        # one function tops out low, the other high: a cap between the tops
+        # cuts only the high one, whose level set then often carries the sup
+        low, high = member(rng.uniform(0.2, 0.5)), member(rng.uniform(0.8, 1.0))
+        spacing = [a[1] - a[0] for a in g.axes]
+        lipschitz = max(
+            sum(np.max(np.abs(np.diff(h.values, axis=i))) / spacing[i] for i in range(2))
+            for h in (low, high)
+        )
+        split = 0.5 * (np.max(low.values) + np.max(high.values))
+        for rho in (split, rng.uniform(0.35, 2.0)):
+            lo = np.maximum(g.domain.lower, -rho)
+            hi = np.minimum(g.domain.upper, rho)
+            axes = [np.linspace(lo[i], hi[i], 161) for i in range(2)]
+            x = lattice(axes)
+            h = max(a[1] - a[0] for a in axes)
+            for eta in (0.0, *rng.uniform(0.0, 0.6, 3)):
+                xs = np.minimum(x + eta, g.domain.upper)
+                psi = np.maximum(np.minimum(low.eval(x), rho) - high.eval(xs),
+                                 np.minimum(high.eval(x), rho) - low.eval(xs)) - eta
+                sampled = float(np.max(psi))
+                # both argument orders: each function's cap kinks must count
+                for F, G in ((low, high), (high, low)):
+                    v = _violation(F, G, rho, eta)
+                    assert sampled - 1e-12 <= v <= sampled + lipschitz * h / 2 + 1e-12, (
+                        rho, eta)
 
 
 def test_step_function_value_on_the_region_face_counts():
