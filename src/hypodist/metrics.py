@@ -188,7 +188,7 @@ def _validate_pair(f: GridFunction, g: GridFunction, *, need_uniform: bool) -> N
 # share one point set per shift, built on the same per-axis candidates: the
 # nodes, the nodes pulled back by eta, and the region's bounds.  Between
 # consecutive candidates no node of either function is crossed on any axis.
-# What depends on rho alone (the region, the cap tests and, in 2-d, the
+# What depends on rho alone (the region and, in 2-d, the cap tests and the
 # level sets of the capped functions) is set up once per radius by
 # ``_violation_at``.
 
@@ -353,8 +353,9 @@ def _kinks_2d(
     """Vertices of the 2-d kink arrangement off the candidate lattice, for a
     per-axis uniform grid: crossings of the candidate lines with the cell
     diagonals and with those pulled back by eta, and each level set
-    {h = rho} in ``levels`` (segments from ``_level_segments``) with its
-    crossings of the candidate lines and the pulled-back diagonals."""
+    {h = rho} in ``levels`` (segments from ``_level_segments``, possibly
+    none) with its crossings of the candidate lines and the pulled-back
+    diagonals."""
     x_cand, y_cand = cands
     a1, a2 = grid.axes
     h1 = a1[1] - a1[0]
@@ -386,22 +387,20 @@ def _sup_at_vertices(
     rho: float,
     lo: np.ndarray,
     hi: np.ndarray,
-    capped: list[GridFunction],
     levels: list[np.ndarray],
     eta: float,
 ) -> tuple[float, int]:
     """Exact V(eta) for continuous (order-1) f and g, and the number of
     region points evaluated.  Both directions are piecewise linear, so V is
     the max over the vertices of their joint kink arrangement: the
-    candidate lattice and the kinks of the caps, which are the points where
-    a function in ``capped`` crosses rho in 1-d, or in 2-d ``_kinks_2d``
-    with the level sets ``levels`` of those functions.  The points are
-    located twice, as they are and pulled forward by eta, and f and g are
-    both read off each set of weights."""
+    candidate lattice and the kinks of both caps, which are the points
+    where f or g crosses rho in 1-d, or in 2-d ``_kinks_2d`` with the level
+    sets ``levels``.  The points are located twice, as they are and pulled
+    forward by eta, and f and g are both read off each set of weights."""
     cands = _candidates(f.grid, lo, hi, eta)
     chunks = [lattice(cands)]
     if f.grid.dim == 1:
-        chunks.extend(_cap_crossings_1d(h, cands[0], rho) for h in capped)
+        chunks.extend(_cap_crossings_1d(h, cands[0], rho) for h in (f, g))
     else:
         chunks.extend(_kinks_2d(f.grid, levels, cands, eta))
     pts = np.concatenate([c for c in chunks if c.size], axis=0)
@@ -464,25 +463,23 @@ def _violation_at(
     """eta -> (V(eta), region points evaluated) at radius rho.
 
     The work that depends on rho alone is done here, once per radius: the
-    region, the cap tests h(lo) < rho < h(hi), which pick the order-1
-    functions whose cap cuts the region, and in 2-d the level sets
-    {h = rho} of those functions."""
+    region and, in 2-d, the cap tests h(lo) < rho < h(hi), which pick the
+    functions whose cap cuts the region, with the level sets {h = rho} of
+    those functions."""
     reg = RhoBall(rho).region(f.grid.domain)
     if reg is None:
         return lambda eta: (-math.inf, 0)
     lo, hi = reg
     if f.order == 0 or g.order == 0:
         return partial(_sup_on_boxes, f, g, rho, lo, hi)
-    corners = interpolation_weights(f.grid, np.stack([lo, hi]))
-    capped = []
-    for h in (f, g):
-        at_lo, at_hi = h.interpolate(*corners)
-        if at_lo < rho < at_hi:
-            capped.append(h)
     levels = []
     if f.grid.dim == 2:
-        levels = [s for s in (_level_segments(h, rho) for h in capped) if s.size]
-    return partial(_sup_at_vertices, f, g, rho, lo, hi, capped, levels)
+        corners = interpolation_weights(f.grid, np.stack([lo, hi]))
+        for h in (f, g):
+            at_lo, at_hi = h.interpolate(*corners)
+            if at_lo < rho < at_hi:
+                levels.append(_level_segments(h, rho))
+    return partial(_sup_at_vertices, f, g, rho, lo, hi, levels)
 
 
 def _violation(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
