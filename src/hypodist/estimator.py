@@ -46,8 +46,8 @@ from .functions import (
     interpolation_weights,
     resample,
 )
-from .grid import Grid, refine
-from .metrics import DistanceReport, RhoBall, default_rho, hypo_dist_estimate
+from .grid import Grid, _vertex_signs, corner_bits, refine
+from .metrics import DistanceReport, default_rho, hypo_dist_estimate
 
 logger = logging.getLogger(__name__)
 
@@ -112,7 +112,7 @@ class EstimationProblem:
         G0: GridFunction,
         delta: float,
         *,
-        rho: RhoBall | float | None = None,
+        rho: float | None = None,
         shape: ShapeConstraints | None = None,
         tol: float = 1e-8,
     ) -> None:
@@ -131,12 +131,7 @@ class EstimationProblem:
                                  f"[{vmin:.3g}, {vmax:.3g}]")
         if not (delta >= 0 and math.isfinite(delta)):
             raise ValueError(f"delta must be a finite nonnegative radius, got {delta}")
-        if isinstance(rho, RhoBall):
-            rho_val = rho.radius
-        elif rho is None:
-            rho_val = default_rho(F0.grid.domain)
-        else:
-            rho_val = float(rho)
+        rho_val = default_rho(F0.grid.domain) if rho is None else float(rho)
         if not (rho_val > 0 and math.isfinite(rho_val)):
             raise ValueError(f"rho must be positive and finite, got {rho_val}")
         if not (0 < tol < 1):
@@ -230,39 +225,29 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
                  np.broadcast_to([1.0, -1.0], (lo_nodes.size, 2)), "<=", 0.0)
 
     # cell corner bookkeeping shared by (c), (e), (f)
-    l_flat = flat[(slice(None, -1),) * m].reshape(-1)
-    u_flat = flat[(slice(1, None),) * m].reshape(-1)
+    corners = grid.cell_corners()
+    u_flat = corners[:, -1]
     lower_pts, upper_pts = grid.cell_bounds()
-    n_cells = l_flat.size
+    n_cells = corners.shape[0]
 
-    # (c) distribution condition: signed corner sum >= 0 per cell
+    # (c) distribution condition: signed corner sum >= 0 per cell, over the
+    # cell's corners in the grid module's corner order
     if shape.distribution_condition:
-        if m == 1:
-            corners, signs = [l_flat, u_flat], [-1.0, 1.0]
-        else:
-            # lower-left, +1 along axis 0, +1 along axis 1, upper-right
-            corners = [l_flat, l_flat + dims[1], l_flat + 1, u_flat]
-            signs = [1.0, -1.0, -1.0, 1.0]
-        add_rows("distribution", np.stack(corners, axis=1),
-                 np.broadcast_to(signs, (n_cells, len(signs))), ">=", 0.0)
+        signs = _vertex_signs(m).astype(float)
+        add_rows("distribution", corners,
+                 np.broadcast_to(signs, corners.shape), ">=", 0.0)
 
     # (d) bounded growth on unique triangle edges (monotone is on, so one
-    # direction per edge suffices): axis-0 edges, axis-1 edges, diagonals
+    # direction per edge suffices), one offset at a time in the grid
+    # module's edge order: axis-0 edges, axis-1 edges, diagonals
     L = shape.bounded_growth
     if L is not None:
-        if m == 1:
-            edges = [(flat[:-1], 1, L * np.diff(grid.axes[0]))]
-        else:
-            h1, h2 = (np.diff(a) for a in grid.axes)
-            edges = [
-                (flat[:-1, :], dims[1], np.repeat(L * h1, dims[1])),
-                (flat[:, :-1], 1, np.tile(L * h2, dims[0])),
-                (flat[:-1, :-1], dims[1] + 1, L * np.maximum.outer(h1, h2)),
-            ]
-        for start, step, rhs in edges:
-            a = start.reshape(-1)
-            add_rows("growth", np.stack([a, a + step], axis=1),
-                     np.broadcast_to([-1.0, 1.0], (a.size, 2)), "<=", rhs.reshape(-1))
+        for offset in corner_bits(m)[1:]:
+            start, end, length = grid.edges(offset)
+            a, b = flat[start].reshape(-1), flat[end].reshape(-1)
+            add_rows("growth", np.stack([a, b], axis=1),
+                     np.broadcast_to([-1.0, 1.0], (a.size, 2)), "<=",
+                     (L * length).reshape(-1))
 
     # (e)/(f) shift rows over every cell, each cell's lower row followed by
     # its upper row:
@@ -275,7 +260,7 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
         probe = np.clip(lower_pts + radius, dom.lower, dom.upper)
         w_nodes, w_vals = interpolation_weights(grid, probe)
         anchor_at_u = np.atleast_1d(anchor.eval(upper_pts))
-        anchor_at_probe = np.atleast_1d(anchor.eval(probe))
+        anchor_at_probe = anchor.interpolate(w_nodes, w_vals)
         lower_rhs = np.minimum(anchor_at_u, rho) - radius
         upper_rhs = anchor_at_probe + radius
         keep = upper_rhs < rho
@@ -308,21 +293,22 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
     return model, counts
 
 
+# simplex iteration budget of every LP solve
+_MAX_ITERATIONS = 200_000
+
+
 def min_slack(
     problem: EstimationProblem,
     eta: float,
     *,
     method: str = "auto",
-    max_iterations: int = 200_000,
 ) -> tuple[float, GridFunction]:
     """Least ambiguity slack at a fixed shift eta, with its witness function.
 
     Raises ShapeInfeasibleError when no function satisfies the constraint
     system at this shift (possible at small eta, where the target rows
     contradict each other or the shape rows)."""
-    s, F, _, _ = _solve_at(
-        problem, eta, method=method, max_iterations=max_iterations
-    )
+    s, F, _, _ = _solve_at(problem, eta, method=method)
     return s, F
 
 
@@ -331,13 +317,12 @@ def _solve_at(
     eta: float,
     *,
     method: str,
-    max_iterations: int,
     basis=None,
 ) -> tuple[float, GridFunction, int, object | None]:
     """Least slack at shift eta, its witness, the LP iterations and the
     optimal basis (``lp.solve`` starts from ``basis`` when it fits)."""
     model, counts = assemble_lp(problem, eta)
-    sol = lp.solve(model, method=method, max_iterations=max_iterations, basis=basis)
+    sol = lp.solve(model, method=method, max_iterations=_MAX_ITERATIONS, basis=basis)
     if sol.status == "infeasible":
         raise ShapeInfeasibleError(
             f"constraint system infeasible at shift eta={eta:.6g} "
@@ -365,7 +350,6 @@ def estimate(
     problem: EstimationProblem,
     *,
     method: str = "auto",
-    max_iterations: int = 200_000,
     lower: float = 0.0,
 ) -> EstimateResult:
     """Smallest shift eta whose minimal ambiguity slack vanishes (within the
@@ -418,9 +402,7 @@ def estimate(
     eps = problem.tol
     history: list[tuple[float, float, int]] = []
 
-    s1, F1, it1, basis = _solve_at(
-        problem, 1.0, method=method, max_iterations=max_iterations
-    )
+    s1, F1, it1, basis = _solve_at(problem, 1.0, method=method)
     history.append((1.0, s1, it1))
     if s1 > eps:
         logger.info(
@@ -439,10 +421,7 @@ def estimate(
     def probe(eta: float) -> None:
         nonlocal lo, hi, best, s_lo, basis
         try:
-            s, F, it, basis = _solve_at(
-                problem, eta, method=method, max_iterations=max_iterations,
-                basis=basis,
-            )
+            s, F, it, basis = _solve_at(problem, eta, method=method, basis=basis)
         except ShapeInfeasibleError:
             s, F, it = math.inf, None, 0
         history.append((eta, s, it))
@@ -518,23 +497,10 @@ def shape_violation(problem: EstimationProblem, F: GridFunction) -> float:
         worst = max(worst, -float(np.min(cell_masses(F))))
     L = shape.bounded_growth
     if L is not None:
-        if grid.dim == 1:
-            h = np.diff(grid.axes[0])
-            worst = max(worst, float(np.max(np.abs(np.diff(v)) - L * h)))
-        else:
-            h1 = np.diff(grid.axes[0])
-            h2 = np.diff(grid.axes[1])
-            d0 = np.abs(np.diff(v, axis=0)) - L * h1[:, None]
-            d1 = np.abs(np.diff(v, axis=1)) - L * h2[None, :]
-            ddiag = np.abs(v[1:, 1:] - v[:-1, :-1]) - L * np.maximum(
-                h1[:, None], h2[None, :]
-            )
-            worst = max(
-                worst,
-                float(np.max(d0)),
-                float(np.max(d1)),
-                float(np.max(ddiag)),
-            )
+        for offset in corner_bits(grid.dim)[1:]:
+            start, end, length = grid.edges(offset)
+            excess = np.abs(v[end] - v[start]) - L * length
+            worst = max(worst, float(np.max(excess)))
     return max(worst, 0.0)
 
 

@@ -217,7 +217,10 @@ class DiracPoint:
     point: tuple
 
     def __init__(self, point: Sequence[float]) -> None:
-        object.__setattr__(self, "point", tuple(float(v) for v in point))
+        p = tuple(float(v) for v in point)
+        if np.any(np.isnan(p)):
+            raise ValueError(f"point mass coordinates must not be NaN, got {p}")
+        object.__setattr__(self, "point", p)
 
     @property
     def dim(self) -> int:
@@ -273,6 +276,10 @@ class EmpiricalSamples:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("empirical spec needs a nonempty (N, m) sample array")
+        # a NaN coordinate lies below no node yet counts in N; an infinite
+        # one is ordered and counts as it should
+        if np.any(np.isnan(pts)):
+            raise ValueError("sample coordinates must not be NaN")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -7,6 +7,15 @@ corners used by the signed corner-sum operator, and (for m = 2) the
 triangulation obtained by cutting every cell along its main diagonal
 (lower-left corner to upper-right corner).
 
+Corners are enumerated in one order everywhere (``corner_bits``): corner c
+of a box takes the upper end on axis i when bit i of c is set, so corner 0
+is the lower corner and corner 2^m - 1 the upper one.  Its sign in the
+signed corner sum is +1 when an even number of its coordinates sit at a
+lower end (``_vertex_signs``).  The nonzero rows of ``corner_bits`` double
+as the node offsets of the triangulation's edges: e_1 (and e_2), then
+e_1 + e_2, the main diagonal, so the edges from node n are n -> n + d for
+each such offset d (``Grid.edges``).
+
 Everything here is immutable after construction and safe to share across
 threads.  Grids serialize to a plain JSON object ``{dim, lower, upper, axes}``.
 """
@@ -29,6 +38,7 @@ __all__ = [
     "mesh_size",
     "cells",
     "locate",
+    "corner_bits",
 ]
 
 
@@ -90,21 +100,26 @@ def lattice(coords: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def corner_bits(dim: int) -> np.ndarray:
+    """(2^m, m) 0/1 array: row c has bit i of c in column i, 1 selecting the
+    upper end on axis i (module docstring)."""
+    return (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
+
+
 def _vertex_signs(dim: int) -> np.ndarray:
-    """Signs of the 2^m corners of a box, bit i of the corner index selecting
-    the upper bound on axis i.  A corner's sign is +1 exactly when the number
-    of coordinates sitting at a lower bound is even."""
-    idx = np.arange(2 ** dim)
-    n_lower = dim - np.array([bin(i).count("1") for i in idx])
-    return np.where(n_lower % 2 == 0, 1, -1).astype(int)
+    """Signs of the 2^m corners of a box in ``corner_bits`` order: +1 exactly
+    when the number of coordinates sitting at a lower bound is even."""
+    n_lower = dim - corner_bits(dim).sum(axis=1)
+    return np.where(n_lower % 2 == 0, 1, -1)
 
 
 @dataclass(frozen=True)
 class Rect:
     """One closed box [lower, upper] with parity-signed corners.
 
-    ``vertices`` has shape (2^m, m): row j is the corner whose axis-i
-    coordinate is ``upper[i]`` when bit i of j is set, else ``lower[i]``.
+    ``vertices`` has shape (2^m, m), in ``corner_bits`` order: row j is the
+    corner whose axis-i coordinate is ``upper[i]`` when bit i of j is set,
+    else ``lower[i]``.
     ``signs[j]`` is +1 when the count of coordinates of row j equal to a lower
     bound is even, -1 otherwise; the signs always sum to zero.
     """
@@ -130,10 +145,7 @@ class Rect:
 
     @property
     def vertices(self) -> np.ndarray:
-        m = self.dim
-        idx = np.arange(2 ** m)
-        take_upper = (idx[:, None] >> np.arange(m)[None, :]) & 1
-        return np.where(take_upper == 1, self.upper[None, :], self.lower[None, :])
+        return np.where(corner_bits(self.dim) == 1, self.upper, self.lower)
 
     @property
     def signs(self) -> np.ndarray:
@@ -224,6 +236,28 @@ class Grid:
         lower = lattice([a[:-1] for a in self.axes])
         return lower, lattice([a[1:] for a in self.axes])
 
+    def cell_corners(self) -> np.ndarray:
+        """Flat node indices of the corners of all cells, shape
+        (n_cells, 2^m): cells in C-order, corners in ``corner_bits`` order."""
+        m = self.dim
+        flat = np.arange(self.n_nodes).reshape(self.shape)
+        strides = np.array([int(np.prod(self.shape[i + 1:])) for i in range(m)])
+        return flat[(slice(None, -1),) * m].reshape(-1, 1) + corner_bits(m) @ strides
+
+    def edges(self, offset: np.ndarray) -> tuple[tuple, tuple, np.ndarray]:
+        """The edges n -> n + offset for one 0/1 ``offset`` (a nonzero row of
+        ``corner_bits``): slices selecting their lower and their upper ends
+        from a node-shaped array, and their max-norm lengths, shaped like
+        those selections."""
+        lower = tuple(slice(None, -1) if d else slice(None) for d in offset)
+        upper = tuple(slice(1, None) if d else slice(None) for d in offset)
+        length = np.zeros([n - d for n, d in zip(self.shape, offset)])
+        for i, (a, d) in enumerate(zip(self.axes, offset)):
+            if d:
+                h = np.diff(a).reshape([-1 if k == i else 1 for k in range(self.dim)])
+                length = np.maximum(length, h)
+        return lower, upper, length
+
     # -- triangulation (m == 2) ----------------------------------------------
 
     def triangles(self) -> np.ndarray:
@@ -235,19 +269,8 @@ class Grid:
         """
         if self.dim != 2:
             raise ValueError("triangulation is defined for 2-d grids only")
-        n1, n2 = self.shape
-        i = np.arange(n1 - 1)[:, None]
-        j = np.arange(n2 - 1)[None, :]
-        ll = (i * n2 + j).ravel()
-        lr = ((i + 1) * n2 + j).ravel()
-        ul = (i * n2 + (j + 1)).ravel()
-        ur = ((i + 1) * n2 + (j + 1)).ravel()
-        lower_tri = np.stack([ll, lr, ur], axis=1)
-        upper_tri = np.stack([ll, ul, ur], axis=1)
-        out = np.empty((2 * ll.size, 3), dtype=np.int64)
-        out[0::2] = lower_tri
-        out[1::2] = upper_tri
-        return out
+        # corners 0, 1, 2, 3 are lower-left, lower-right, upper-left, upper-right
+        return self.cell_corners()[:, [[0, 1, 3], [0, 2, 3]]].reshape(-1, 3)
 
     # -- serialization -------------------------------------------------------
 

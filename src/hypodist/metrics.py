@@ -220,58 +220,29 @@ def _cap_crossings_1d(f: GridFunction, cand: np.ndarray, rho: float) -> np.ndarr
 def _level_segments(f: GridFunction, rho: float) -> np.ndarray:
     """Endpoints of the pieces of the level set {f = rho}, shape (E, 2, 2).
 
-    The graph of an order-1 function is linear on each triangle, so the level
-    set is a segment per triangle, with endpoints on triangle edges."""
+    The graph of an order-1 function is linear on each triangle of
+    ``Grid.triangles()``, so the level set is a segment per triangle, with
+    endpoints where it crosses the triangle's edges (the grid module's edge
+    offsets) or at a vertex sitting exactly at the level."""
     grid = f.grid
-    a1, a2 = grid.axes
-    v = f.values
-    ll = v[:-1, :-1].ravel()
-    lr = v[1:, :-1].ravel()
-    ul = v[:-1, 1:].ravel()
-    ur = v[1:, 1:].ravel()
-    i, j = np.meshgrid(np.arange(a1.size - 1), np.arange(a2.size - 1), indexing="ij")
-    x_l, x_r = a1[i.ravel()], a1[i.ravel() + 1]
-    y_b, y_t = a2[j.ravel()], a2[j.ravel() + 1]
-
-    segs = []
-    # triangle vertex tables: below-diagonal (ll, lr, ur), above (ll, ul, ur)
-    tris = (
-        ((x_l, y_b, ll), (x_r, y_b, lr), (x_r, y_t, ur)),
-        ((x_l, y_b, ll), (x_l, y_t, ul), (x_r, y_t, ur)),
-    )
-    for verts in tris:
-        pts_edges = []
-        for k in range(3):
-            px, py, pv = verts[k]
-            qx, qy, qv = verts[(k + 1) % 3]
-            cross = (pv - rho) * (qv - rho) < 0
-            s = np.where(cross, (rho - pv) / np.where(cross, qv - pv, 1.0), np.nan)
-            pts_edges.append(
-                np.stack([px + s * (qx - px), py + s * (qy - py)], axis=-1)
-            )
-        stacked = np.stack(pts_edges, axis=1)  # (cells, 3 edges, 2)
-        good = ~np.isnan(stacked[..., 0])
-        n_cross = good.sum(axis=1)
-        if np.any(n_cross == 2):
-            rows = stacked[n_cross == 2]
-            keep = good[n_cross == 2]
-            segs.append(rows[keep].reshape(-1, 2, 2))
-        # a segment can also run from a vertex sitting exactly at the level
-        # to the crossing on the opposite edge
-        vx = np.stack([verts[k][0] for k in range(3)], axis=1)
-        vy = np.stack([verts[k][1] for k in range(3)], axis=1)
-        vv = np.stack([verts[k][2] for k in range(3)], axis=1)
-        at_level = np.abs(vv - rho) <= 1e-14
-        pick = (n_cross == 1) & (at_level.sum(axis=1) == 1)
-        if np.any(pick):
-            rows = np.nonzero(pick)[0]
-            cross_pt = stacked[rows][good[rows]].reshape(-1, 2)
-            kv = np.argmax(at_level[rows], axis=1)
-            vert_pt = np.stack([vx[rows, kv], vy[rows, kv]], axis=-1)
-            segs.append(np.stack([vert_pt, cross_pt], axis=1))
-    if not segs:
-        return np.empty((0, 2, 2))
-    return np.concatenate(segs, axis=0)
+    tri = grid.triangles()
+    pos = grid.node_lattice()[tri]  # (T, 3 vertices, 2)
+    val = f.values.reshape(-1)[tri]
+    # edge k runs from vertex k to vertex k + 1 (mod 3)
+    nxt_pos, nxt_val = np.roll(pos, -1, axis=1), np.roll(val, -1, axis=1)
+    cross = (val - rho) * (nxt_val - rho) < 0
+    s = np.where(cross, (rho - val) / np.where(cross, nxt_val - val, 1.0), np.nan)
+    pts = pos + s[..., None] * (nxt_pos - pos)  # (T, 3 edges, 2)
+    n_cross = cross.sum(axis=1)
+    two = n_cross == 2
+    segs = pts[two][cross[two]].reshape(-1, 2, 2)
+    # a segment can also run from a vertex sitting exactly at the level to
+    # the crossing on the opposite edge
+    at_level = np.abs(val - rho) <= 1e-14
+    rows = np.nonzero((n_cross == 1) & (at_level.sum(axis=1) == 1))[0]
+    cross_pt = pts[rows][cross[rows]]
+    vert_pt = pos[rows, np.argmax(at_level[rows], axis=1)]
+    return np.concatenate([segs, np.stack([vert_pt, cross_pt], axis=1)])
 
 
 def _segment_line_crossings(

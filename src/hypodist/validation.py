@@ -12,6 +12,7 @@ motivates estimating with hypograph distances in the first place.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .functions import (
     resample,
     upper_envelope,
 )
-from .grid import Domain, Rect, build_grid
+from .grid import Domain, Rect, _vertex_signs, build_grid, corner_bits, lattice
 from .metrics import (
     DistanceReport,
     RhoBall,
@@ -141,44 +142,26 @@ def distribution_error_pct(
         raise ValueError(f"budget must be >= 1, got {budget}")
     grid = F.grid
     v = np.atleast_1d(F.eval(grid.node_lattice())).reshape(grid.shape)
-    tol = -1e-9
-
-    if grid.dim == 1:
-        n = grid.shape[0]
-        total = n * (n - 1) // 2
-        if total <= budget:
-            i, j = np.triu_indices(n, k=1)
-            bad = int(np.count_nonzero(v[j] - v[i] < tol))
-            return 100.0 * bad / total
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n - 1, size=budget)
-        j = rng.integers(i + 1, n)
-        bad = int(np.count_nonzero(v[j] - v[i] < tol))
-        return 100.0 * bad / budget
-
-    n1, n2 = grid.shape
-    p1 = n1 * (n1 - 1) // 2
-    p2 = n2 * (n2 - 1) // 2
-    total = p1 * p2
+    # each rectangle is a node pair i < j per axis, its corners taken in the
+    # grid module's corner order
+    total = math.prod(n * (n - 1) // 2 for n in grid.shape)
     if total <= budget:
-        i1, j1 = np.triu_indices(n1, k=1)
-        i2, j2 = np.triu_indices(n2, k=1)
-        mass = (
-            v[np.ix_(j1, j2)]
-            - v[np.ix_(i1, j2)]
-            - v[np.ix_(j1, i2)]
-            + v[np.ix_(i1, i2)]
-        )
-        bad = int(np.count_nonzero(mass < tol))
-        return 100.0 * bad / total
-    rng = np.random.default_rng(seed)
-    i1 = rng.integers(0, n1 - 1, size=budget)
-    j1 = rng.integers(i1 + 1, n1)
-    i2 = rng.integers(0, n2 - 1, size=budget)
-    j2 = rng.integers(i2 + 1, n2)
-    mass = v[j1, j2] - v[i1, j2] - v[j1, i2] + v[i1, i2]
-    bad = int(np.count_nonzero(mass < tol))
-    return 100.0 * bad / budget
+        pairs = [np.triu_indices(n, k=1) for n in grid.shape]
+        lower, upper = (lattice([p[k] for p in pairs]) for k in (0, 1))
+    else:
+        rng = np.random.default_rng(seed)
+        lower = np.empty((budget, grid.dim), dtype=np.int64)
+        upper = np.empty_like(lower)
+        for ax, n in enumerate(grid.shape):
+            lower[:, ax] = rng.integers(0, n - 1, size=budget)
+            upper[:, ax] = rng.integers(lower[:, ax] + 1, n)
+    bits, signs = corner_bits(grid.dim), _vertex_signs(grid.dim)
+    mass = 0.0
+    for c in reversed(range(bits.shape[0])):  # upper corner first
+        corner = np.where(bits[c] == 1, upper, lower)
+        mass = mass + signs[c] * v[tuple(corner.T)]
+    bad = int(np.count_nonzero(mass < -1e-9))
+    return 100.0 * bad / lower.shape[0]
 
 
 def density_convergence(

@@ -458,3 +458,19 @@ def test_inline_samples_match_samples_csv(tmp_path):
     assert F_inline.values[-1, -1] == 1.0 and F_inline.values[0, 0] == 1 / 8
     assert filecmp.cmp(tmp_path / "inline" / "distance.json",
                        tmp_path / "csv" / "distance.json", shallow=False)
+
+
+@pytest.mark.parametrize("source", [
+    {"kind": "samples_csv", "path": "pts.csv"},
+    {"kind": "samples", "points": [[0.5, 0.5], [math.nan, 1.0], [2.0, 2.0]]},
+    {"kind": "dirac", "point": [math.nan, 0.0]},
+])
+def test_nan_coordinates_are_config_errors(tmp_path, capsys, source):
+    # a NaN sample counts in N but lies below no node; a NaN point mass
+    # gives a CDF that is zero everywhere
+    (tmp_path / "pts.csv").write_text("x1,x2\n0.5,0.5\nnan,1.0\n2.0,2.0\n")
+    cfg = write_config(tmp_path / "run.json", F0=source)
+    assert main(["estimate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "$.F0" in err and "Traceback" not in err

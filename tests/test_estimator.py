@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypodist import (
     Domain,
     EstimationProblem,
+    Grid,
     GridFunction,
     ShapeConstraints,
     ShapeInfeasibleError,
@@ -318,6 +319,62 @@ def test_impossible_shape_raises(two_uniforms_10):
         min_slack(prob, 1.0)
     with pytest.raises(ShapeInfeasibleError):
         estimate(prob)
+
+
+def brute_shape_violation(problem, F) -> float:
+    """Every documented shape constraint, one node, cell or edge at a time."""
+    shape, grid, v = problem.shape, problem.grid, F.values
+    m, dims = grid.dim, grid.shape
+    worst = 0.0
+    for n in np.ndindex(*dims):
+        for ax in range(m):  # monotone along every axis
+            if n[ax] + 1 < dims[ax]:
+                up = tuple(k + (a == ax) for a, k in enumerate(n))
+                worst = max(worst, v[n] - v[up])
+        if shape.boundary_zero and 0 in n:  # lower faces
+            worst = max(worst, abs(v[n]))
+    if shape.boundary_one:  # upper corner
+        worst = max(worst, abs(v[(-1,) * m] - 1.0))
+    for n in np.ndindex(*grid.cell_counts):
+        if shape.distribution_condition:  # cell mass as a difference of differences
+            if m == 1:
+                mass = v[n[0] + 1] - v[n[0]]
+            else:
+                i, j = n
+                mass = (v[i + 1, j + 1] - v[i, j + 1]) - (v[i + 1, j] - v[i, j])
+            worst = max(worst, -mass)
+    L = shape.bounded_growth
+    if L is not None:
+        offsets = [(1,)] if m == 1 else [(1, 0), (0, 1), (1, 1)]
+        for n in np.ndindex(*dims):
+            for d in offsets:  # axis edges and diagonals
+                end = tuple(k + e for k, e in zip(n, d))
+                if all(k < s for k, s in zip(end, dims)):
+                    h = max(grid.axes[a][end[a]] - grid.axes[a][n[a]]
+                            for a in range(m) if d[a])
+                    worst = max(worst, abs(v[end] - v[n]) - L * h)
+    return max(worst, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shape_violation_matches_brute_force(rng, dim):
+    for trial in range(24):
+        lo = rng.uniform(-1.0, 1.0, size=dim)
+        hi = lo + rng.uniform(0.5, 3.0, size=dim)
+        axes = [np.concatenate([[a], np.sort(rng.uniform(a, b, size=k)), [b]])
+                for a, b, k in zip(lo, hi, rng.integers(1, 7, size=dim))]
+        g = Grid(Domain(lo, hi), axes)
+        F0 = realize(UniformBox(lo, hi), g)
+        shape = ShapeConstraints(
+            boundary_zero=bool(trial % 2), boundary_one=bool(trial % 3),
+            distribution_condition=bool(trial % 4 < 2),
+            bounded_growth=[None, 0.0, 0.4, 2.5][trial % 4],
+        )
+        prob = EstimationProblem(F0, F0, 0.5, shape=shape)
+        # non-monotone values, so every constraint group can bind
+        F = GridFunction(g, 1, rng.uniform(-0.3, 1.3, size=g.shape))
+        assert shape_violation(prob, F) == brute_shape_violation(prob, F)
+        assert shape_violation(prob, F0) == brute_shape_violation(prob, F0)
 
 
 def test_estimate_is_deterministic(two_uniforms_10):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from hypodist import (
     DiracPoint,
     Domain,
+    Grid,
+    GridFunction,
     UniformBox,
     build_grid,
     closure_fixture,
@@ -98,6 +103,58 @@ def test_distribution_error_sampled_is_deterministic():
 def test_distribution_error_1d(unit_interval_grid):
     F = realize(UniformBox([0.0], [1.0]), unit_interval_grid)
     assert distribution_error_pct(F) == 0.0
+
+
+def rect_mass(v, i, j):
+    """Signed corner sum of the node-pair rectangle with lower node indices
+    i and upper node indices j, upper corner first."""
+    if len(i) == 1:
+        return v[j[0]] - v[i[0]]
+    return v[j[0], j[1]] - v[i[0], j[1]] - v[j[0], i[1]] + v[i[0], i[1]]
+
+
+def uneven_function(rng, dim):
+    lo = rng.uniform(-1.0, 1.0, size=dim)
+    hi = lo + rng.uniform(0.5, 2.0, size=dim)
+    axes = [np.concatenate([[a], np.sort(rng.uniform(a, b, size=k)), [b]])
+            for a, b, k in zip(lo, hi, rng.integers(2, 8, size=dim))]
+    g = Grid(Domain(lo, hi), axes)
+    # unordered values, so many rectangles carry negative mass
+    return GridFunction(g, 1, rng.uniform(0.0, 1.0, size=g.shape))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_distribution_error_exhaustive_matches_every_rectangle(rng, dim):
+    for _ in range(6):
+        F = uneven_function(rng, dim)
+        v = F.values
+        pairs = [[(i, j) for i in range(n) for j in range(i + 1, n)]
+                 for n in F.grid.shape]
+        masses = [rect_mass(v, [p[0] for p in combo], [p[1] for p in combo])
+                  for combo in itertools.product(*pairs)]
+        bad = sum(mass < -1e-9 for mass in masses)
+        assert bad > 0
+        expected = 100.0 * bad / len(masses)
+        assert distribution_error_pct(F, budget=len(masses)) == expected
+        assert distribution_error_pct(F) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_distribution_error_sampled_follows_the_seeded_draw(rng, dim):
+    # each axis draws its lower node indices, then its upper ones, in axis order
+    for seed in (20250816, 3):
+        F = uneven_function(rng, dim)
+        v = F.values
+        # fewer than the rectangles, so the audit samples
+        budget = min(40, math.prod(n * (n - 1) // 2 for n in F.grid.shape) - 1)
+        draw = np.random.default_rng(seed)
+        lower, upper = [], []
+        for n in F.grid.shape:
+            lower.append(draw.integers(0, n - 1, size=budget))
+            upper.append(draw.integers(lower[-1] + 1, n))
+        bad = sum(rect_mass(v, [i[k] for i in lower], [j[k] for j in upper]) < -1e-9
+                  for k in range(budget))
+        assert distribution_error_pct(F, budget=budget, seed=seed) == 100.0 * bad / budget
 
 
 # ---------------------------------------------------------------------------
