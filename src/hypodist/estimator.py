@@ -12,7 +12,7 @@ distance: at shift eta the conditions
 encode "F is within shift eta of F0"; the analogous conditions with delta and
 G0 carry a shared nonnegative slack s.  At fixed eta everything is linear in
 the vertex values (off-node evaluations expand to interpolation weights over
-a triangle's vertices), so the least slack is a linear program; the estimate
+a Kuhn simplex's vertices), so the least slack is a linear program; the estimate
 is the smallest eta whose minimal slack vanishes, or eta = 1 with positive
 slack when even the loosest shift cannot reconcile the constraints.
 
@@ -39,14 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .functions import (
-    GridFunction,
-    _axis_increments,
-    cell_masses,
-    interpolation_weights,
-    resample,
-)
-from .grid import Grid, _vertex_signs, corner_bits, refine
+from .functions import GridFunction, _axis_increments, cell_masses, resample
+from .grid import Grid, _vertex_signs, corner_bits, interpolation_weights, refine
 from .metrics import DistanceReport, default_rho, hypo_dist_estimate
 
 logger = logging.getLogger(__name__)
@@ -82,7 +76,7 @@ class ShapeConstraints:
     ``boundary_zero`` pins v = 0 on every face touching the domain's lower
     corner; ``boundary_one`` pins v(b) = 1 at the upper corner;
     ``distribution_condition`` requires a nonnegative signed corner sum on
-    every mesh cell; ``bounded_growth`` limits each triangle-edge difference
+    every mesh cell; ``bounded_growth`` limits each simplex-edge difference
     to L times the edge's max-norm length.
     """
 
@@ -237,9 +231,9 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
         add_rows("distribution", corners,
                  np.broadcast_to(signs, corners.shape), ">=", 0.0)
 
-    # (d) bounded growth on unique triangle edges (monotone is on, so one
-    # direction per edge suffices), one offset at a time in the grid
-    # module's edge order: axis-0 edges, axis-1 edges, diagonals
+    # (d) bounded growth on the unique edges of the Kuhn triangulation
+    # (monotone is on, so one direction per edge suffices), one offset at a
+    # time in the grid module's edge order: axis-0 edges, axis-1 edges, diagonals
     L = shape.bounded_growth
     if L is not None:
         for offset in corner_bits(m)[1:]:

@@ -1,18 +1,11 @@
 """Piecewise-defined functions on rectangular grids, and CDF constructions.
 
 A grid function of order 1 stores one value per node and evaluates by
-piecewise-linear interpolation: on 1-d grids the usual chord, on 2-d grids
-linear interpolation over the two triangles obtained by cutting each cell
-along its main diagonal (lower-left to upper-right corner).  With t = local
-cell coordinates of x and v_* the corner values,
-
-    t_2 <= t_1:  f(x) = v_ll (1 - t_1) + v_lr (t_1 - t_2) + v_ur t_2
-    t_2 >= t_1:  f(x) = v_ll (1 - t_2) + v_ul (t_2 - t_1) + v_ur t_1
-
-so every value is a convex combination of at most m + 1 node values.  Such an
-interpolant is componentwise nondecreasing exactly when the node values are
-nondecreasing along every axis (the gradient on each triangle is a vector of
-divided differences along cell edges).
+piecewise-linear interpolation on the Kuhn triangulation (the ``grid``
+module states the rule), so every value is a convex combination of m + 1
+node values.  Such an interpolant is componentwise nondecreasing exactly
+when the node values are nondecreasing along every axis (the gradient on
+each simplex is a vector of divided differences along cell edges).
 
 A grid function of order 0 stores one value per cell and evaluates to that
 constant on the half-open cell chosen by the locate tie rule (ties go to the
@@ -32,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import Grid, Rect, locate_batch
+from .grid import Grid, Rect, interpolation_weights, locate_batch
 
 __all__ = [
     "GridFunction",
@@ -137,10 +130,7 @@ class GridFunction:
         pts = np.clip(pts, lo, hi)
         if self.order == 0:
             idx, _ = locate_batch(self.grid, pts)
-            flat = np.ravel_multi_index(
-                tuple(idx[:, i] for i in range(self.grid.dim)),
-                self.grid.cell_counts,
-            )
+            flat = np.ravel_multi_index(tuple(idx.T), self.grid.cell_counts)
             out = self.values.reshape(-1)[flat]
         else:
             out = self.interpolate(*interpolation_weights(self.grid, pts))
@@ -155,8 +145,9 @@ class GridFunction:
     def cell_sups(self) -> np.ndarray:
         """Supremum of the function over each (closed) cell, cell-lattice shaped.
 
-        For order 1 the interpolant is linear on every triangle, so the cell
-        supremum is attained at a cell corner; for order 0 it is the cell value.
+        For order 1 the interpolant is linear on every simplex of the Kuhn
+        triangulation, so the cell supremum is attained at a cell corner; for
+        order 0 it is the cell value.
         """
         if self.order == 0:
             return self.values.copy()
@@ -418,38 +409,6 @@ def expected_value(f: GridFunction, *, neg_tol: float = 1e-9) -> np.ndarray:
     return (mass[:, None] * centroids).sum(axis=0) / total
 
 
-def interpolation_weights(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat node indices and convex weights expressing order-1 evaluation.
-
-    Returns (indices, weights), both (N, m + 1); evaluation is the weighted
-    sum of node values.  Points must already lie inside the domain.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    m = grid.dim
-    idx, loc = locate_batch(grid, pts)
-    if m == 1:
-        base = idx[:, 0]
-        nodes = np.stack([base, base + 1], axis=1)
-        t = loc[:, 0]
-        weights = np.stack([1.0 - t, t], axis=1)
-        return nodes, weights
-    if m == 2:
-        n2 = grid.shape[1]
-        ll = idx[:, 0] * n2 + idx[:, 1]
-        t1, t2 = loc[:, 0], loc[:, 1]
-        # the triangle below the cell diagonal (t2 <= t1) has the corners
-        # ll, lr, ur and weights 1 - t1, t1 - t2, t2; the one above it has
-        # ll, ul, ur and 1 - t2, t2 - t1, t1
-        mid = np.where(t2 <= t1, ll + n2, ll + 1)
-        nodes = np.stack([ll, mid, ll + n2 + 1], axis=1)
-        weights = np.stack([1.0 - np.maximum(t1, t2), np.abs(t1 - t2),
-                            np.minimum(t1, t2)], axis=1)
-        return nodes, weights
-    raise ValueError(f"interpolation is implemented for m in {{1, 2}}, got m = {m}")
-
-
 def resample(f: GridFunction, grid: Grid) -> GridFunction:
     """Re-express f on another grid over the same domain.
 
@@ -519,10 +478,16 @@ def load_grid_function(path: str) -> GridFunction:
         raise ValueError(f"missing sidecar {meta_path}")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar {meta_path} is not a JSON object")
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
-    grid = Grid.from_json_obj(meta["grid"])
+    try:
+        grid = Grid.from_json_obj(meta["grid"])
+        order = int(meta["order"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed sidecar {meta_path}: {exc!r}") from exc
     if meta.get("grid_hash") not in (None, grid.content_hash()):
         raise ValueError("grid hash mismatch; sidecar does not match its grid")
     expected_header = ",".join(f"x{i + 1}" for i in range(grid.dim)) + ",value"
@@ -536,5 +501,4 @@ def load_grid_function(path: str) -> GridFunction:
             [float(line.rsplit(",", 1)[1]) for line in fh if line.strip()],
             dtype=float,
         )
-    order = int(meta["order"])
     return GridFunction(grid, order, flat, monotone=bool(meta.get("monotone", False)))

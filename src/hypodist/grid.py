@@ -3,18 +3,26 @@
 A domain is a finite box S = [a_1, b_1] x ... x [a_m, b_m].  A grid carries
 strictly increasing node coordinates per axis (first node = a_i, last = b_i)
 and induces the box partition into cells [l^k, u^k], the parity-signed cell
-corners used by the signed corner-sum operator, and (for m = 2) the
-triangulation obtained by cutting every cell along its main diagonal
-(lower-left corner to upper-right corner).
+corners used by the signed corner-sum operator, and the Kuhn triangulation
+of every cell.
 
 Corners are enumerated in one order everywhere (``corner_bits``): corner c
 of a box takes the upper end on axis i when bit i of c is set, so corner 0
 is the lower corner and corner 2^m - 1 the upper one.  Its sign in the
 signed corner sum is +1 when an even number of its coordinates sit at a
-lower end (``_vertex_signs``).  The nonzero rows of ``corner_bits`` double
-as the node offsets of the triangulation's edges: e_1 (and e_2), then
-e_1 + e_2, the main diagonal, so the edges from node n are n -> n + d for
-each such offset d (``Grid.edges``).
+lower end (``_vertex_signs``).
+
+Kuhn's rule (H. W. Kuhn, "Some combinatorial lemmas in topology", IBM J.
+Res. Dev. 4, 1960) cuts a cell into m! simplices, one per ordering of the
+local coordinates t in [0, 1]^m.  Sort t descending, ties going to the lower
+axis: t_(1) >= ... >= t_(m).  The point's simplex has the nodes l, then l
+plus the cumulative node strides of the sorted axes, ending at the upper
+corner; its weights are 1 - t_(1), t_(1) - t_(2), ..., t_(m)
+(``interpolation_weights``, ``Grid.triangles``).  In 1-d that is the chord;
+in 2-d each cell is cut along its main diagonal.  Every nonzero row of
+``corner_bits`` is the node offset of some simplex edge, and no other
+offset is: e_1 (and e_2), then e_1 + e_2, so the edges from node n are
+n -> n + d for each such offset d (``Grid.edges``).
 
 Everything here is immutable after construction and safe to share across
 threads.  Grids serialize to a plain JSON object ``{dim, lower, upper, axes}``.
@@ -23,6 +31,7 @@ threads.  Grids serialize to a plain JSON object ``{dim, lower, upper, axes}``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -164,9 +173,10 @@ class Grid:
             axes[i][-1] equal the domain bounds.
         shape: nodes per axis.
         cell_counts: cells per axis (shape minus one).
+        strides: flat C-order index step of one node along each axis.
     """
 
-    __slots__ = ("domain", "axes", "shape", "cell_counts", "_hash")
+    __slots__ = ("domain", "axes", "shape", "cell_counts", "strides", "_hash")
 
     def __init__(self, domain: Domain, axes: Sequence[Sequence[float]]) -> None:
         if len(axes) != domain.dim:
@@ -189,6 +199,8 @@ class Grid:
         self.axes = tuple(ax_arrays)
         self.shape = tuple(int(a.size) for a in self.axes)
         self.cell_counts = tuple(n - 1 for n in self.shape)
+        self.strides = tuple(int(np.prod(self.shape[i + 1:]))
+                             for i in range(domain.dim))
         self._hash: str | None = None
 
     # -- basic geometry -----------------------------------------------------
@@ -241,8 +253,7 @@ class Grid:
         (n_cells, 2^m): cells in C-order, corners in ``corner_bits`` order."""
         m = self.dim
         flat = np.arange(self.n_nodes).reshape(self.shape)
-        strides = np.array([int(np.prod(self.shape[i + 1:])) for i in range(m)])
-        return flat[(slice(None, -1),) * m].reshape(-1, 1) + corner_bits(m) @ strides
+        return flat[(slice(None, -1),) * m].reshape(-1, 1) + corner_bits(m) @ self.strides
 
     def edges(self, offset: np.ndarray) -> tuple[tuple, tuple, np.ndarray]:
         """The edges n -> n + offset for one 0/1 ``offset`` (a nonzero row of
@@ -258,19 +269,18 @@ class Grid:
                 length = np.maximum(length, h)
         return lower, upper, length
 
-    # -- triangulation (m == 2) ----------------------------------------------
+    # -- triangulation ------------------------------------------------------
 
     def triangles(self) -> np.ndarray:
-        """Triangle -> flat node index table, shape (2 * n_cells, 3).
-
-        Each cell contributes the triangle below its main diagonal
-        (lower-left, lower-right, upper-right) followed by the one above it
-        (lower-left, upper-left, upper-right).  Only defined for m = 2.
+        """Simplex -> flat node index table of the Kuhn triangulation, shape
+        (m! * n_cells, m + 1).  Cells run in C-order; each contributes one
+        simplex per axis permutation p, in ``itertools.permutations`` order,
+        whose vertex k is corner sum(2**p[i] for i < k).  For m = 2 that is
+        the triangle below the main diagonal, then the one above it.
         """
-        if self.dim != 2:
-            raise ValueError("triangulation is defined for 2-d grids only")
-        # corners 0, 1, 2, 3 are lower-left, lower-right, upper-left, upper-right
-        return self.cell_corners()[:, [[0, 1, 3], [0, 2, 3]]].reshape(-1, 3)
+        table = [np.cumsum([0] + [2 ** i for i in p])
+                 for p in itertools.permutations(range(self.dim))]
+        return self.cell_corners()[:, table].reshape(-1, self.dim + 1)
 
     # -- serialization -------------------------------------------------------
 
@@ -286,13 +296,11 @@ class Grid:
     def from_json_obj(cls, obj: dict) -> "Grid":
         try:
             dim = int(obj["dim"])
-            lower = obj["lower"]
-            upper = obj["upper"]
-            axes = obj["axes"]
+            lower, upper, axes = obj["lower"], obj["upper"], obj["axes"]
+            if len(lower) != dim or len(axes) != dim:
+                raise ValueError("grid object dim does not match its arrays")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed grid object: {exc}") from exc
-        if len(lower) != dim or len(axes) != dim:
-            raise ValueError("grid object dim does not match its arrays")
         return cls(Domain(lower, upper), axes)
 
     def content_hash(self) -> str:
@@ -406,11 +414,46 @@ def locate_batch(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if points.ndim == 1:
         points = points[None, :]
     n, m = points.shape
-    idx = np.empty((n, m), dtype=np.int64)
-    loc = np.empty((n, m), dtype=float)
+    # (m, N) buffers, returned transposed: every column that the loop
+    # below writes and the callers read is contiguous
+    idx = np.empty((m, n), dtype=np.int64)
+    loc = np.empty((m, n), dtype=float)
     for i, a in enumerate(grid.axes):
-        k = np.searchsorted(a, points[:, i], side="right") - 1
-        np.clip(k, 0, a.size - 2, out=k)
-        idx[:, i] = k
-        loc[:, i] = (points[:, i] - a[k]) / (a[k + 1] - a[k])
-    return idx, loc
+        k = idx[i]
+        np.subtract(np.searchsorted(a, points[:, i], side="right"), 1, out=k)
+        np.minimum(k, a.size - 2, out=k)
+        np.maximum(k, 0, out=k)
+        np.subtract(points[:, i], a[k], out=loc[i])
+        loc[i] /= np.diff(a)[k]
+    return idx.T, loc.T
+
+
+def interpolation_weights(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat node indices and convex weights of order-1 evaluation by
+    Kuhn's rule (module docstring) at an (N, m) array of in-domain points.
+
+    Returns (nodes, weights), both (N, m + 1); evaluation is the weighted
+    sum of node values.
+    """
+    idx, loc = locate_batch(grid, points)
+    n, m = loc.shape
+    t, step = list(loc.T), list(grid.strides)
+    # a stable compare-exchange network sorts t descending, ties kept in
+    # axis order, and carries each axis's node stride along with its t
+    for end in range(m - 1, 0, -1):
+        for k in range(end):
+            up = t[k + 1] > t[k]
+            t[k], t[k + 1] = np.maximum(t[k], t[k + 1]), np.minimum(t[k], t[k + 1])
+            step[k], step[k + 1] = (np.where(up, step[k + 1], step[k]),
+                                    np.where(up, step[k], step[k + 1]))
+    nodes = np.empty((n, m + 1), dtype=np.int64)
+    nodes[:, 0] = idx[:, -1]  # the last axis has stride 1
+    for i in range(m - 1):
+        nodes[:, 0] += idx[:, i] * grid.strides[i]
+    for k in range(m):
+        np.add(nodes[:, k], step[k], out=nodes[:, k + 1])
+    weights = np.empty((n, m + 1))
+    levels = [1.0, *t, 0.0]
+    for k in range(m + 1):
+        np.subtract(levels[k], levels[k + 1], out=weights[:, k])
+    return nodes, weights

@@ -60,6 +60,7 @@ to fast-and-certified:
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -68,8 +69,8 @@ from typing import Callable
 
 import numpy as np
 
-from .functions import GridFunction, interpolation_weights
-from .grid import Domain, Grid, lattice, locate_batch
+from .functions import GridFunction
+from .grid import Domain, Grid, interpolation_weights, lattice, locate_batch
 
 logger = logging.getLogger(__name__)
 
@@ -570,34 +571,30 @@ def _saturation_curves(
         cols.append(offs)
     T = np.sort(np.concatenate(cols, axis=1), axis=1)
 
-    if m == 2:
-        # the ray x + t(1,1) can also cross cell diagonals; find those
-        # crossings cell by cell via the interval midpoints
+    pairs = list(itertools.combinations(range(m), 2))
+    if pairs:
+        # between breakpoints the ray x + t(1, ..., 1) stays in one cell,
+        # located by the interval's midpoint, where it can still cross a
+        # Kuhn hyperplane t_i = t_j of the simplex rule (grid module)
         mids = 0.5 * (T[:, :-1] + T[:, 1:])
         finite = np.isfinite(mids)
-        mids_f = np.where(finite, mids, 0.0)
-        pts = np.clip(
-            X[:, None, :] + mids_f[:, :, None], dom.lower, dom.upper
-        ).reshape(-1, 2)
-        idx, _ = locate_batch(grid, pts)
-        i1 = idx[:, 0].reshape(n, -1)
-        i2 = idx[:, 1].reshape(n, -1)
-        a = grid.axes[0][i1]
-        h1c = grid.axes[0][i1 + 1] - a
-        b = grid.axes[1][i2]
-        h2c = grid.axes[1][i2 + 1] - b
-        denom = h2c - h1c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_diag = (h1c * (X[:, 1:2] - b) - h2c * (X[:, 0:1] - a)) / denom
-        valid = (
-            finite
-            & (np.abs(denom) > _TINY)
-            & (t_diag > T[:, :-1] + _TINY)
-            & (t_diag < T[:, 1:] - _TINY)
-        )
-        t_diag = np.where(valid, t_diag, np.inf)
-        if np.any(valid):
-            T = np.sort(np.concatenate([T, t_diag], axis=1), axis=1)
+        pts = np.clip(X[:, None, :] + np.where(finite, mids, 0.0)[:, :, None],
+                      dom.lower, dom.upper)
+        idx, _ = locate_batch(grid, pts.reshape(-1, m))
+        a = [ax[k].reshape(n, -1) for ax, k in zip(grid.axes, idx.T)]
+        h = [ax[k + 1].reshape(n, -1) - c for ax, k, c in zip(grid.axes, idx.T, a)]
+        crossings = []
+        for i, j in pairs:
+            denom = h[j] - h[i]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = (h[i] * (X[:, j : j + 1] - a[j])
+                     - h[j] * (X[:, i : i + 1] - a[i])) / denom
+            valid = finite & (np.abs(denom) > _TINY) & (s > T[:, :-1] + _TINY)
+            valid &= s < T[:, 1:] - _TINY
+            if np.any(valid):
+                crossings.append(np.where(valid, s, np.inf))
+        if crossings:
+            T = np.sort(np.concatenate([T, *crossings], axis=1), axis=1)
 
     finite = np.isfinite(T)
     T_eval = np.where(finite, T, t_sat[:, None])

@@ -4,11 +4,19 @@ import filecmp
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypodist import Domain, build_grid, load_grid_function
+from hypodist import (
+    Domain,
+    UniformBox,
+    build_grid,
+    load_grid_function,
+    realize,
+    save_grid_function,
+)
 from hypodist.cli import main
 
 
@@ -27,11 +35,21 @@ def write_config(path, **overrides):
     return path
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
 def plot_blocks(path) -> list:
     """Blocks of a .dat plot file (separated by blank lines), each a list of
     rows, every token parsed with float()."""
     blocks, rows = [], []
-    for line in open(path).read().splitlines():
+    for line in Path(path).read_text().splitlines():
         if line.strip():
             rows.append([float(tok) for tok in line.split()])
         elif rows:
@@ -45,7 +63,7 @@ def test_estimate_end_to_end(tmp_path):
     out = tmp_path / "out"
     assert main(["estimate", "--config", str(cfg), "--out", str(out),
                  "--quiet"]) == 0
-    doc = json.load(open(out / "result.json"))
+    doc = read_json(out / "result.json")
     assert doc["schema_version"] == 1
     assert doc["command"] == "estimate"
     (run,) = doc["runs"]
@@ -86,7 +104,7 @@ def test_estimate_end_to_end(tmp_path):
     out = tmp_path / "out1d"
     assert main(["estimate", "--config", str(cfg), "--out", str(out),
                  "--quiet"]) == 0
-    (run,) = json.load(open(out / "result.json"))["runs"]
+    (run,) = read_json(out / "result.json")["runs"]
     sol = load_grid_function(str(out / run["files"]["solution"]))
     (surf,) = plot_blocks(out / run["files"]["surface"])
     assert surf == [[x, v] for x, v in zip(axis.tolist(), sol.values.tolist())]
@@ -102,8 +120,8 @@ def test_estimate_delta_ladder_and_determinism(tmp_path):
                  "--quiet"]) == 0
     assert main(["estimate", "--config", str(cfg), "--out", str(out2),
                  "--quiet"]) == 0
-    d1 = json.load(open(out1 / "result.json"))
-    d2 = json.load(open(out2 / "result.json"))
+    d1 = read_json(out1 / "result.json")
+    d2 = read_json(out2 / "result.json")
     assert [r["delta"] for r in d1["runs"]] == [1.0, 0.4]
     # eta responds monotonically within the ladder
     assert d1["runs"][0]["eta"] <= d1["runs"][1]["eta"] + 1e-9
@@ -127,13 +145,13 @@ def test_ladder_matches_single_delta_estimates(tmp_path):
     cfg = write_config(tmp_path / "ladder.json", delta=deltas)
     assert main(["estimate", "--config", str(cfg), "--out",
                  str(tmp_path / "ladder"), "--quiet"]) == 0
-    runs = json.load(open(tmp_path / "ladder" / "result.json"))["runs"]
+    runs = read_json(tmp_path / "ladder" / "result.json")["runs"]
     for run in runs:
         name = f"single_{run['delta']:g}"
         cfg = write_config(tmp_path / f"{name}.json", delta=run["delta"])
         assert main(["estimate", "--config", str(cfg), "--out",
                      str(tmp_path / name), "--quiet"]) == 0
-        (single,) = json.load(open(tmp_path / name / "result.json"))["runs"]
+        (single,) = read_json(tmp_path / name / "result.json")["runs"]
         assert abs(run["eta"] - single["eta"]) <= 1e-8
     by_delta = sorted(runs, key=lambda r: -r["delta"])
     etas = [r["eta"] for r in by_delta]
@@ -157,9 +175,9 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 def test_missing_required_key(tmp_path, capsys):
     p = tmp_path / "run.json"
-    cfg = json.loads(open(write_config(p)).read())
+    cfg = read_json(write_config(p))
     del cfg["delta"]
-    json.dump(cfg, open(p, "w"))
+    write_json(p, cfg)
     assert main(["estimate", "--config", str(p), "--out",
                  str(tmp_path / "o")]) == 1
     assert "delta" in capsys.readouterr().err
@@ -193,7 +211,7 @@ def test_ladder_hint_skips_infeasible_probes(tmp_path):
     out = tmp_path / "out"
     assert main(["estimate", "--config", str(cfg), "--out", str(out),
                  "--quiet"]) == 0
-    first, second = json.load(open(out / "result.json"))["runs"]
+    first, second = read_json(out / "result.json")["runs"]
     infeasible = {h["eta"] for h in first["history"] if h["slack"] == math.inf}
     assert infeasible
     assert not infeasible & {h["eta"] for h in second["history"]}
@@ -258,7 +276,7 @@ def test_distance_identical_sources(tmp_path):
     out = tmp_path / "out"
     assert main(["distance", "--config", str(cfg), "--out", str(out),
                  "--quiet"]) == 0
-    doc = json.load(open(out / "distance.json"))
+    doc = read_json(out / "distance.json")
     assert doc["command"] == "distance"
     assert [r["rho"] for r in doc["per_rho"]] == [0.5, 1.0]
     for row in doc["per_rho"]:
@@ -285,7 +303,7 @@ def test_distance_passes_config_tol_to_the_integral(tmp_path, monkeypatch):
     assert main(["distance", "--config", str(cfg), "--out",
                  str(tmp_path / "out"), "--quiet"]) == 0
     assert seen == [{"quad_points": 4, "tol": 1e-4}]
-    doc = json.load(open(tmp_path / "out" / "distance.json"))
+    doc = read_json(tmp_path / "out" / "distance.json")
     assert doc["hypo_distance"]["evaluations"] >= 1
     assert doc["hypo_distance"]["points"] >= doc["hypo_distance"]["evaluations"]
 
@@ -295,7 +313,7 @@ def test_validate_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["validate", "--config", str(cfg), "--out", str(out),
                  "--quiet"]) == 0
-    doc = json.load(open(out / "validate.json"))
+    doc = read_json(out / "validate.json")
     assert doc["total_sandwich_violations"] == 0
     assert doc["distribution_error_pct"]["F0"] == 0.0
     assert doc["distribution_error_pct"]["G0"] == 0.0
@@ -308,7 +326,7 @@ def test_study_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["study", "--config", str(cfg), "--out", str(out),
                  "--quiet"]) == 0
-    doc = json.load(open(out / "study.json"))
+    doc = read_json(out / "study.json")
     assert len(doc["levels"]) == 2
     assert len(doc["consecutive_distances"]) == 1
     assert doc["total_sandwich_violations"] == 0
@@ -365,16 +383,16 @@ def test_generate_two_uniforms(tmp_path):
     out = tmp_path / "gen"
     assert main(["generate", "two-uniforms", "--out", str(out),
                  "--quiet"]) == 0
-    est = json.load(open(out / "two_uniforms_estimate.json"))
+    est = read_json(out / "two_uniforms_estimate.json")
     assert est["schema_version"] == 1
     assert est["delta"] == [1.0, 0.7, 0.4, 0.1, 1e-4]
-    study = json.load(open(out / "two_uniforms_study.json"))
+    study = read_json(out / "two_uniforms_study.json")
     assert study["refinement_factors"] == [1, 2, 4]
     # the emitted config is directly runnable (shrunk grid for speed)
     est["grid"] = {"cells_per_axis": 5}
     est["delta"] = 0.7
     p = out / "small.json"
-    json.dump(est, open(p, "w"))
+    write_json(p, est)
     assert main(["estimate", "--config", str(p), "--out",
                  str(out / "run"), "--quiet"]) == 0
 
@@ -388,11 +406,11 @@ def test_generate_uuv_deterministic(tmp_path):
     for name in ("uuv_target_samples.csv", "uuv_anchor_samples.csv",
                  "uuv_synthetic_estimate.json"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
-    cfg = json.load(open(a / "uuv_synthetic_estimate.json"))
+    cfg = read_json(a / "uuv_synthetic_estimate.json")
     assert cfg["delta"] == [0.9, 0.1, 0.01]
     assert cfg["F0"]["kind"] == "samples_csv"
     # relative sample paths resolve against the config directory
-    header = open(a / "uuv_target_samples.csv").readline().strip()
+    header = (a / "uuv_target_samples.csv").read_text().splitlines()[0]
     assert header == "x1,x2"
 
 
@@ -474,3 +492,26 @@ def test_nan_coordinates_are_config_errors(tmp_path, capsys, source):
                  str(tmp_path / "o"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "$.F0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("breakage", ["no order", "no grid", "list", "scalar lower"])
+def test_malformed_sidecar_is_a_config_error(tmp_path, capsys, breakage):
+    grid = build_grid(Domain([0.0, 0.0], [3.0, 3.0]), 7)
+    path = str(tmp_path / "f.csv")
+    save_grid_function(realize(UniformBox([0.0, 0.0], [1.0, 1.0]), grid), path)
+    meta = read_json(path + ".meta.json")
+    if breakage == "no order":
+        del meta["order"]
+    elif breakage == "no grid":
+        del meta["grid"]
+    elif breakage == "list":
+        meta = [1, 2]
+    else:
+        meta["grid"]["lower"] = 0
+    write_json(path + ".meta.json", meta)
+    cfg = write_config(tmp_path / "run.json",
+                       F0={"kind": "grid_function", "path": "f.csv"})
+    assert main(["estimate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "$.F0: cannot load grid function" in err and "Traceback" not in err

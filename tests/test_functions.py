@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypodist import (
     DiracPoint,
     Domain,
     EmpiricalSamples,
+    Grid,
     GridFunction,
     Mixture,
     Rect,
@@ -25,6 +28,8 @@ from hypodist import (
     save_grid_function,
     upper_envelope,
 )
+from hypodist.functions import interpolation_weights
+from hypodist.grid import corner_bits, locate_batch
 
 
 def test_grid_function_validation(unit_interval_grid):
@@ -187,17 +192,16 @@ def test_save_load_round_trip(tmp_path, rng, unit_square_grid):
     assert g.order == f.order
     assert g.monotone == f.monotone
     assert np.array_equal(g.values, f.values)  # bit-exact
-    header = open(path).readline().strip()
-    assert header == "x1,x2,value"
+    assert Path(path).read_text().splitlines()[0] == "x1,x2,value"
 
 
 def test_load_rejects_mismatched_sidecar(tmp_path, unit_interval_grid):
     f = GridFunction(unit_interval_grid, 1, np.linspace(0, 1, 11), monotone=True)
     path = str(tmp_path / "f.csv")
     save_grid_function(f, path)
-    meta = open(path + ".meta.json").read().replace('"format_version": 1',
-                                                    '"format_version": 99')
-    open(path + ".meta.json", "w").write(meta)
+    meta = Path(path + ".meta.json")
+    meta.write_text(meta.read_text().replace('"format_version": 1',
+                                             '"format_version": 99'))
     with pytest.raises(ValueError):
         load_grid_function(path)
 
@@ -243,3 +247,84 @@ def test_interpolant_within_corner_range(seed):
     ray = np.outer(t, [1.0, 1.0])
     rv = np.atleast_1d(f.eval(ray))
     assert np.all(np.diff(rv) >= -1e-12)
+
+
+def _random_axes_grid(rng, m):
+    """Grid with random non-uniform node spacings, multiples of 1/8."""
+    axes = [np.concatenate([[0.0], np.cumsum(rng.integers(1, 8, c) / 8)])
+            for c in (5, 3, 4)[:m]]
+    return Grid(Domain([0.0] * m, [a[-1] for a in axes]), axes)
+
+
+def _kuhn_test_points(rng, grid):
+    """Random points, every node, and points on cell diagonals, where all
+    or two local coordinates tie exactly (multiples of 1/16 on dyadic
+    spacings)."""
+    m = grid.dim
+    lower, upper = grid.cell_bounds()
+    k = rng.integers(0, grid.n_cells, 400)
+    t = rng.integers(0, 17, (400, m)) / 16
+    t[:200] = t[:200, :1]  # all coordinates tie
+    rows, pair = np.arange(200, 400), rng.integers(0, m, (200, 2))
+    t[rows, pair[:, 1]] = t[rows, pair[:, 0]]  # one pair ties
+    on_diagonals = lower[k] + t * (upper[k] - lower[k])
+    inside = rng.uniform(grid.domain.lower, grid.domain.upper, (400, m))
+    return np.concatenate([inside, grid.node_lattice(), on_diagonals])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kuhn_rule_properties(rng, m):
+    grid = _random_axes_grid(rng, m)
+    pts = _kuhn_test_points(rng, grid)
+    nodes, w = interpolation_weights(grid, pts)
+    assert nodes.shape == w.shape == (pts.shape[0], m + 1)
+    assert nodes.dtype == np.int64 and w.dtype == float
+    assert np.all(w >= 0.0)
+    assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    lat = grid.node_lattice()
+    assert np.allclose(np.einsum("nk,nki->ni", w, lat[nodes]), pts, rtol=0, atol=1e-12)
+    c = rng.normal(size=m)
+    affine = GridFunction(grid, 1, lat @ c + 0.3)
+    assert np.allclose(affine.eval(pts), pts @ c + 0.3, rtol=0, atol=1e-12)
+    # a chain from the containing cell's lower corner, one axis step at a
+    # time, taken in order of descending local coordinate, ties to the
+    # lower axis
+    idx, loc = locate_batch(grid, pts)
+    interior_ties = np.all(loc == loc[:, :1], axis=1) & (loc[:, 0] > 0) & (loc[:, 0] < 1)
+    assert np.count_nonzero(interior_ties) >= 100
+    multi = np.stack(np.unravel_index(nodes, grid.shape), axis=-1)
+    assert np.array_equal(multi[:, 0], idx)
+    steps = np.diff(multi, axis=1)
+    assert {tuple(r) for r in steps.reshape(-1, m)} <= {tuple(r) for r in corner_bits(m)}
+    assert np.array_equal(steps.sum(axis=1), np.ones((pts.shape[0], m), dtype=int))
+    order = np.argsort(-loc, axis=1, kind="stable")
+    assert np.array_equal(np.argmax(steps, axis=2), order)
+
+
+def _two_triangle_weights(grid, pts):
+    """The 1-d chord and the 2-d two-triangle formulas, written out."""
+    idx, loc = locate_batch(grid, pts)
+    if grid.dim == 1:
+        base, t = idx[:, 0], loc[:, 0]
+        return np.stack([base, base + 1], axis=1), np.stack([1.0 - t, t], axis=1)
+    n2 = grid.shape[1]
+    ll = idx[:, 0] * n2 + idx[:, 1]
+    t1, t2 = loc[:, 0], loc[:, 1]
+    mid = np.where(t2 <= t1, ll + n2, ll + 1)
+    nodes = np.stack([ll, mid, ll + n2 + 1], axis=1)
+    weights = np.stack([1.0 - np.maximum(t1, t2), np.abs(t1 - t2),
+                        np.minimum(t1, t2)], axis=1)
+    return nodes, weights
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_kuhn_rule_matches_chord_and_two_triangles(rng, m, uniform):
+    grid = (build_grid(Domain([0.0] * m, [2.0, 3.0][:m]), [5, 13][:m]) if uniform
+            else _random_axes_grid(rng, m))
+    pts = _kuhn_test_points(rng, grid)
+    nodes, w = interpolation_weights(grid, pts)
+    ref_nodes, ref_w = _two_triangle_weights(grid, pts)
+    assert nodes.dtype == ref_nodes.dtype and w.dtype == ref_w.dtype
+    assert np.array_equal(nodes, ref_nodes)
+    assert w.tobytes() == np.ascontiguousarray(ref_w).tobytes()

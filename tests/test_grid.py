@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from hypodist import Domain, Grid, Rect, build_grid, cells, locate, mesh_size, refine
-from hypodist.grid import locate_batch
+from hypodist.grid import corner_bits, locate_batch
 
 
 def test_domain_validation():
@@ -66,19 +69,36 @@ def test_cell_bounds_lexicographic():
     assert np.allclose(rects[1].lower, [0.0, 1.0])
 
 
-def test_triangles_cover_cells():
-    g = build_grid(Domain([0.0, 0.0], [1.0, 1.0]), 3)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_triangles_cover_cells(m):
+    g = build_grid(Domain([0.0] * m, [1.0] * m), 3)
     tri = g.triangles()
-    assert tri.shape == (8, 3)
+    n_perm = math.factorial(m)
+    assert tri.shape == (n_perm * g.n_cells, m + 1)
     lat = g.node_lattice()
-    # every triangle has positive area
-    for t in tri:
-        p = lat[t]
-        area = 0.5 * abs(
-            (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-            - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
-        )
-        assert area == pytest.approx(0.125)
+    P = lat[tri]  # (simplices, m + 1, m)
+    volume = np.abs(np.linalg.det(P[:, 1:] - P[:, :1])) / n_perm
+    # m! simplices per cell, each spanned by that cell's corners, filling it
+    cells_of = tri.reshape(g.n_cells, n_perm, m + 1)
+    for corners, simplices in zip(g.cell_corners(), cells_of):
+        assert np.all(np.isin(simplices, corners))
+    assert np.allclose(volume.reshape(g.n_cells, n_perm).sum(axis=1), 0.5 ** m)
+    # every edge offset is a nonzero row of corner_bits
+    multi = np.stack(np.unravel_index(tri, g.shape), axis=-1)
+    allowed = {tuple(r) for r in corner_bits(m)[1:]}
+    for i, j in itertools.combinations(range(m + 1), 2):
+        offsets = {tuple(r) for r in (multi[:, j] - multi[:, i])}
+        assert offsets <= allowed
+    if m == 2:
+        assert tri.shape == (8, 3)
+        # every triangle has positive area
+        for t in tri:
+            p = lat[t]
+            area = 0.5 * abs(
+                (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
+                - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
+            )
+            assert area == pytest.approx(0.125)
 
 
 def test_locate_tie_rule_prefers_largest_lower_corner():

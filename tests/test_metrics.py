@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypodist import (
     DiracPoint,
     Domain,
+    Grid,
     GridFunction,
     RhoBall,
     UniformBox,
@@ -82,6 +83,25 @@ def test_oracle_scan_vs_geometric(dirac_pair):
         a = dl_rho_oracle(F, G, rho, 41, method="scan")
         b = dl_rho_oracle(F, G, rho, 41, method="geometric")
         assert a == pytest.approx(b, abs=1e-10)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_scan_vs_geometric_2d(rng, uniform):
+    # h1 != h2, so the scan ray crosses cell diagonals between breakpoints
+    for _ in range(3):
+        if uniform:
+            axes = [np.linspace(0.0, 3.0, 7), np.linspace(0.0, 2.0, 6)]
+        else:
+            axes = [np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, c))])
+                    for c in (5, 4)]
+        grid = Grid(Domain([0.0, 0.0], [a[-1] for a in axes]), axes)
+        f = random_monotone(rng, grid)
+        for _ in range(40):
+            x = rng.uniform(grid.domain.lower, grid.domain.upper)
+            z = [*x, rng.uniform(-0.2, 1.3)]
+            assert point_hypo_dist(f, z, method="scan") == pytest.approx(
+                point_hypo_dist(f, z, method="geometric"), abs=1e-10
+            )
 
 
 def test_hat_distance_frozen(dirac_pair):
