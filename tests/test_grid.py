@@ -69,8 +69,23 @@ def test_cell_bounds_lexicographic():
     assert np.allclose(rects[1].lower, [0.0, 1.0])
 
 
+def test_triangles_cover_cells():
+    g = build_grid(Domain([0.0, 0.0], [1.0, 1.0]), 3)
+    tri = g.triangles()
+    assert tri.shape == (8, 3)
+    lat = g.node_lattice()
+    # every triangle has positive area
+    for t in tri:
+        p = lat[t]
+        area = 0.5 * abs(
+            (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
+            - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
+        )
+        assert area == pytest.approx(0.125)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_triangles_cover_cells(m):
+def test_simplices_cover_cells_any_dimension(m):
     g = build_grid(Domain([0.0] * m, [1.0] * m), 3)
     tri = g.triangles()
     n_perm = math.factorial(m)
@@ -89,16 +104,6 @@ def test_triangles_cover_cells(m):
     for i, j in itertools.combinations(range(m + 1), 2):
         offsets = {tuple(r) for r in (multi[:, j] - multi[:, i])}
         assert offsets <= allowed
-    if m == 2:
-        assert tri.shape == (8, 3)
-        # every triangle has positive area
-        for t in tri:
-            p = lat[t]
-            area = 0.5 * abs(
-                (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
-            )
-            assert area == pytest.approx(0.125)
 
 
 def test_locate_tie_rule_prefers_largest_lower_corner():
