@@ -359,8 +359,6 @@ def _deltas(cfg: dict) -> list:
 def _make_problem(F0, G0, delta, rho, shape, tol) -> EstimationProblem:
     try:
         return EstimationProblem(F0, G0, delta, rho=rho, shape=shape, tol=tol)
-    except (ShapeInfeasibleError, IterationLimitError):
-        raise
     except ValueError as e:
         raise ConfigError(f"config: {e}") from e
 

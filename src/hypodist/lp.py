@@ -28,7 +28,8 @@ that ``linprog`` would hand it, so a cold solve is the same as through
 back in ``LPSolution.basis``; passed to the next ``solve`` of a model with
 the same row and column counts, it starts HiGHS there, and a warm run that
 HiGHS rejects or that ends outside the four statuses is solved again cold.
-SciPy releases without those bindings go through ``linprog``, cold.
+The bindings ship with SciPy 1.15 and later; without them a HiGHS solve
+raises ``SolverError``.
 
 The simplex keeps nonbasic variables at finite bounds, prices with Dantzig's
 rule and falls back to Bland's rule after a run of degenerate pivots, so it
@@ -39,7 +40,6 @@ module is meant for, robustness is worth far more than speed.
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import logging
 import math
@@ -468,18 +468,12 @@ _HIGHS_STATUS = {
 }
 
 
-def _highs_core():
-    """SciPy's private HiGHS bindings, or None when this SciPy lacks them."""
-    try:
-        return importlib.import_module("scipy.optimize._highspy._core")
-    except ImportError:
-        return None
-
-
-def _highs_rows(model: LPModel):
-    """The rows as linprog hands them to HiGHS: ">=" rows negated into "<="
-    rows, inequality rows before equality rows.  Returns the CSR matrix,
-    the number of inequality rows and the right-hand sides."""
+def _highs_lp(core, model: LPModel):
+    """The model as a HiGHS LP, built exactly as linprog builds it: ">="
+    rows negated into "<=" rows, inequality rows before equality rows, and
+    a column-wise matrix made through COO, so duplicate entries are summed.
+    The vectors go in as lists, which the bindings copy about twice as fast
+    as arrays, to the same values."""
     import scipy.sparse as sp
 
     row_ptr, idx, cf, codes, b = model.row_arrays()
@@ -488,22 +482,11 @@ def _highs_rows(model: LPModel):
     is_eq = codes == SENSES.index("==")
     order = np.argsort(is_eq, kind="stable")
     entries = np.argsort(np.repeat(is_eq, lengths), kind="stable")
-    ptr = np.concatenate([[0], np.cumsum(lengths[order])])
+    rows = np.repeat(np.arange(order.size), lengths[order])
     signed = np.repeat(sign, lengths) * cf
-    A = sp.csr_array((signed[entries], idx[entries], ptr),
-                     shape=(order.size, model.n_variables))
-    return A, int(np.count_nonzero(~is_eq)), (sign * b)[order]
-
-
-def _highs_lp(core, model: LPModel):
-    """The model as a HiGHS LP, built exactly as linprog builds it: a
-    column-wise matrix made through COO, so duplicate entries are summed.
-    The vectors go in as lists, which the bindings copy about twice as fast
-    as arrays, to the same values."""
-    import scipy.sparse as sp
-
-    A, n_ub, rhs = _highs_rows(model)
-    csc = sp.coo_array(A).tocsc()
+    csc = sp.coo_array((signed[entries], (rows, idx[entries])),
+                       shape=(order.size, model.n_variables)).tocsc()
+    n_ub, rhs = int(np.count_nonzero(~is_eq)), (sign * b)[order]
     lower, upper = model.bounds
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = model.n_variables
@@ -551,11 +534,11 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
     A ``basis`` whose row and column counts match the model starts a run
     without presolve.  When HiGHS rejects it or ends outside the known
     statuses, the model is solved cold, as without a basis: with presolve,
-    then without it if presolve ends outside the known statuses.  Without
-    SciPy's HiGHS bindings the solve goes through ``linprog``, cold."""
-    core = _highs_core()
-    if core is None:
-        return _solve_linprog(model, max_iterations), "cold, linprog"
+    then without it if presolve ends outside the known statuses."""
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError as exc:
+        raise SolverError(f"{exc}: the HiGHS solver needs SciPy >= 1.15") from exc
     lp = _highs_lp(core, model)
     shape = (model.n_constraints, model.n_variables)
     status, start = None, "cold"
@@ -581,48 +564,6 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
     x = np.array(highs.getSolution().col_value)
     obj = float(highs.getInfo().objective_function_value)
     return LPSolution(status, x, obj, nit, basis=(shape, highs.getBasis())), start
-
-
-def _solve_linprog(model: LPModel, max_iterations: int) -> LPSolution:
-    from scipy.optimize import linprog
-
-    A, n_ub, rhs = _highs_rows(model)
-
-    def part(rows: slice):
-        return (A[rows], rhs[rows]) if rhs[rows].size else (None, None)
-
-    (A_ub, b_ub), (A_eq, b_eq) = part(slice(None, n_ub)), part(slice(n_ub, None))
-
-    def run(presolve: bool):
-        return linprog(
-            model.objective,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=np.column_stack(model.bounds),
-            method="highs",
-            options={
-                "maxiter": max_iterations,
-                "presolve": presolve,
-                "primal_feasibility_tolerance": 1e-9,
-                "dual_feasibility_tolerance": 1e-9,
-            },
-        )
-
-    status_map = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
-    res = run(presolve=True)
-    status = status_map.get(res.status)
-    if status is None:
-        logger.debug("retrying LP without presolve: %s", res.message)
-        res = run(presolve=False)
-        status = status_map.get(res.status)
-    if status is None:
-        raise SolverError(f"LP backend failed: {res.message}")
-    x = np.asarray(res.x, dtype=float) if status == "optimal" else None
-    obj = float(res.fun) if status == "optimal" else math.nan
-    nit = int(getattr(res, "nit", 0) or 0)
-    return LPSolution(status, x, obj, nit)
 
 
 def solve(

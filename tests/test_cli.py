@@ -218,17 +218,15 @@ def test_ladder_hint_skips_infeasible_probes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "failure", ["status", "backend", "linprog-backend", "non-monotone"]
+    "failure", ["status", "backend", "no-bindings", "non-monotone"]
 )
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
-    # an LP status the estimator cannot use, a backend that gives up (HiGHS
-    # called directly, or through linprog where SciPy lacks the direct
-    # bindings), and a solution that is not monotone all exit 4 with one
-    # line, not a traceback
+    # an LP status the estimator cannot use, a backend that gives up, a
+    # SciPy without the HiGHS bindings, and a solution that is not monotone
+    # all exit 4 with one line, not a traceback
     import sys
 
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
+    import scipy.optimize._highspy._core as core
 
     from hypodist import lp
 
@@ -242,21 +240,14 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
         x[: x.size - 1] = np.linspace(1.0, 0.0, x.size - 1)  # node values
         return lp.LPSolution(sol.status, x, sol.objective, sol.iterations)
 
-    def failing_linprog(*args, **kwargs):
-        return OptimizeResult(status=4, message="numerical difficulties",
-                              x=None, fun=None, nit=0)
-
     if failure == "backend":
-        core = lp._highs_core()
-
         class FailingHighs(core._Highs):
             def run(self):
                 return core.HighsStatus.kError
 
         monkeypatch.setattr(core, "_Highs", FailingHighs)
-    elif failure == "linprog-backend":
+    elif failure == "no-bindings":
         monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
     else:
         monkeypatch.setattr(lp, "solve", fake_solve)
     cfg = write_config(tmp_path / "run.json")

@@ -209,19 +209,16 @@ def same_solution(a, b):
     return a.objective == b.objective and np.array_equal(a.x, b.x)
 
 
-def test_linprog_fallback_matches_direct_call(monkeypatch):
-    # a cold direct call hands HiGHS what linprog hands it, so without the
-    # bindings the same model gives the same status, x and iterations
+def test_missing_bindings_raise_solver_error(monkeypatch):
+    # without SciPy's HiGHS bindings a HiGHS solve fails with one message,
+    # and the bundled simplex still solves
     import sys
 
-    direct = [solve(m) for m in random_models(31)]
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    assert lp._highs_core() is None
-    fallback = [solve(m) for m in random_models(31)]
-    assert [s.status for s in direct].count("infeasible") >= 1
-    for a, b in zip(direct, fallback):
-        assert same_solution(a, b)
-        assert b.basis is None
+    for method in ("auto", "highs"):
+        with pytest.raises(lp.SolverError, match="SciPy >= 1.15"):
+            solve(two_var_model(), method=method)
+    assert solve(two_var_model(), method="simplex").ok
 
 
 def test_basis_is_returned_and_reused():
@@ -249,7 +246,8 @@ def test_rejected_basis_falls_back_to_cold(caplog):
     # a basis with every variable basic has the right counts but is not a
     # basis; unless marked alien (to be repaired), HiGHS rejects it and the
     # model is solved as without one
-    core = lp._highs_core()
+    import scipy.optimize._highspy._core as core
+
     for m in random_models(53):
         bad = core.HighsBasis()
         bad.col_status = [core.HighsBasisStatus.kBasic] * m.n_variables
@@ -265,7 +263,8 @@ def test_rejected_basis_falls_back_to_cold(caplog):
 def test_failed_warm_solve_falls_back_to_cold(monkeypatch, caplog):
     # a warm run that ends outside the known statuses is re-solved cold,
     # with the same status and objective as a cold solve
-    core = lp._highs_core()
+    import scipy.optimize._highspy._core as core
+
     models = random_models(59)
     bases = [solve(m).basis for m in random_models(59)]
     cold = [solve(m) for m in models]
