@@ -39,6 +39,7 @@ from .functions import (
     GridFunction,
     Mixture,
     UniformBox,
+    _csv_rows,
     cell_masses,
     empirical_cdf,
     expected_value,
@@ -209,22 +210,15 @@ def _read_samples_csv(path: str, where: str) -> np.ndarray:
     try:
         with open(path) as fh:
             header = fh.readline().strip()
-            rows = [
-                [float(tok) for tok in line.split(",")]
-                for line in fh
-                if line.strip()
-            ]
+            cols = header.split(",")
+            rows = _csv_rows(fh, len(cols))
     except (OSError, ValueError) as e:
         _fail(where, f"cannot read samples from {path}: {e}")
-    cols = header.split(",")
     if cols != [f"x{i + 1}" for i in range(len(cols))]:
         _fail(where, f"{path}: expected header like 'x1,x2', got {header!r}")
-    if not rows:
+    if not rows.size:
         _fail(where, f"{path}: no sample rows")
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape[1] != len(cols):
-        _fail(where, f"{path}: ragged rows")
-    return arr
+    return rows
 
 
 def _resolve_source(obj, where: str, grid: Grid, base_dir: str) -> GridFunction:
@@ -432,20 +426,9 @@ def cmd_estimate(args) -> int:
 
     runs = []
     total_time = 0.0
-    # (delta, largest probed eta with finite slack above tol) per solved
-    # delta: slack does not decrease as delta shrinks, so that eta still has
-    # slack above tol at every smaller delta and starts its search.  An
-    # infeasible probe is left out: infeasibility does not depend on delta,
-    # so the next search would only solve it again
-    solved: list[tuple[float, float]] = []
     for delta in deltas:
         problem = _make_problem(F0, G0, delta, rho, shape, tol)
-        lower = max((eta for d, eta in solved if d >= delta), default=0.0)
-        result = estimate(problem, method=lp_method, lower=lower)
-        solved.append((delta, max(
-            (eta for eta, s, _ in result.history if problem.tol < s < math.inf),
-            default=0.0,
-        )))
+        result = estimate(problem, method=lp_method)
         total_time += result.wall_time
         suffix = "" if len(deltas) == 1 else f"_delta_{delta:g}"
         sol_path = os.path.join(out, f"solution{suffix}.csv")

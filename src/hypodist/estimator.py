@@ -24,9 +24,7 @@ piecewise linearly to zero.  ``estimate`` therefore searches with a
 safeguarded secant on the part where the slack is finite and positive, and
 bisects where it has no slope to follow, such as across the jump at eta_0.
 The slack is also nondecreasing in shrinking delta, so the returned eta
-responds monotonically to the ambiguity radius, and a shift that leaves
-slack at one delta still leaves it at every smaller one: a delta ladder
-passes it down as the ``lower`` start of the next search.
+responds monotonically to the ambiguity radius.
 """
 
 from __future__ import annotations
@@ -344,7 +342,6 @@ def estimate(
     problem: EstimationProblem,
     *,
     method: str = "auto",
-    lower: float = 0.0,
 ) -> EstimateResult:
     """Smallest shift eta whose minimal ambiguity slack vanishes (within the
     problem tolerance), or eta = 1 with the positive residual slack when the
@@ -374,13 +371,6 @@ def estimate(
     It also bisects whenever the last two probes together neither halved
     the bracket nor halved lo's slack in excess of tol.
 
-    ``lower`` is a shift the caller expects to leave slack above tol, such
-    as the largest such probe of an estimate at a larger delta of the same
-    ladder (slack does not decrease as delta shrinks).  The search probes
-    it after eta = 1: if the probe confirms it, it becomes lo, and if not,
-    the search goes on in [0, lower].  A wrong hint costs probes, never
-    correctness.
-
     Each probe after the first starts HiGHS from the optimal basis of the
     last optimal probe.  Consecutive probes differ only in the target rows,
     so a few pivots repair that basis.  It is used only when the row count
@@ -390,8 +380,6 @@ def estimate(
     where the last search ended, and a basis carried there needed more
     pivots than a cold solve with presolve.
     """
-    if not (0.0 <= lower <= 1.0):
-        raise ValueError(f"lower must lie in [0, 1], got {lower}")
     t0 = time.perf_counter()
     eps = problem.tol
     history: list[tuple[float, float, int]] = []
@@ -427,8 +415,6 @@ def estimate(
                 points.append((eta, s))
         trail.append((hi - lo, s_lo))
 
-    if 0.0 < lower < 1.0:
-        probe(lower)
     while hi - lo > eps:
         probe(_next_shift(lo, hi, best[1], points, trail, eps))
     eta_star, s_star, F_star = best

@@ -471,6 +471,24 @@ def save_grid_function(f: GridFunction, path: str) -> None:
         fh.write("\n")
 
 
+def _csv_rows(fh, ncols: int) -> np.ndarray:
+    """The nonblank rows after the header line of an open CSV file, shape
+    (N, ncols).  A row of another width or with a token that is not a
+    number raises ValueError naming its line."""
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        toks = line.split(",")
+        if len(toks) != ncols:
+            raise ValueError(f"line {lineno}: {len(toks)} values, expected {ncols}")
+        try:
+            rows.append([float(tok) for tok in toks])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    return np.array(rows, dtype=float).reshape(-1, ncols)
+
+
 def load_grid_function(path: str) -> GridFunction:
     """Inverse of :func:`save_grid_function` (validates the sidecar hash)."""
     meta_path = _meta_path(path)
@@ -497,8 +515,5 @@ def load_grid_function(path: str) -> GridFunction:
             raise ValueError(
                 f"unexpected CSV header {header!r}; wanted {expected_header!r}"
             )
-        flat = np.array(
-            [float(line.rsplit(",", 1)[1]) for line in fh if line.strip()],
-            dtype=float,
-        )
+        flat = _csv_rows(fh, grid.dim + 1)[:, -1].copy()
     return GridFunction(grid, order, flat, monotone=bool(meta.get("monotone", False)))

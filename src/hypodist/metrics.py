@@ -189,9 +189,8 @@ def _validate_pair(f: GridFunction, g: GridFunction, *, need_uniform: bool) -> N
 # share one point set per shift, built on the same per-axis candidates: the
 # nodes, the nodes pulled back by eta, and the region's bounds.  Between
 # consecutive candidates no node of either function is crossed on any axis.
-# What depends on rho alone (the region and, in 2-d, the cap tests and the
-# level sets of the capped functions) is set up once per radius by
-# ``_violation_at``.
+# What depends on rho alone (the region, the cap tests and the level sets
+# of the capped functions) is set up once per radius by ``_violation_at``.
 
 
 def _candidates(
@@ -205,38 +204,27 @@ def _candidates(
     return out
 
 
-def _cap_crossings_1d(f: GridFunction, cand: np.ndarray, rho: float) -> np.ndarray:
-    """Points between consecutive candidates where the order-1 f crosses the
-    cap rho, shape (N, 1): min(f, rho) kinks there."""
-    fc = f.eval(cand[:, None])
-    cl, cr = cand[:-1], cand[1:]
-    fl, fr = fc[:-1], fc[1:]
-    cross = (fl - rho) * (fr - rho) < 0
-    roots = cl[cross] + (rho - fl[cross]) * (cr[cross] - cl[cross]) / (
-        fr[cross] - fl[cross]
-    )
-    return roots[:, None]
-
-
 def _level_segments(f: GridFunction, rho: float) -> np.ndarray:
-    """Endpoints of the pieces of the level set {f = rho}, shape (E, 2, 2).
+    """Endpoints of the pieces of the level set {f = rho}, shape (E, 2, m).
 
-    The graph of an order-1 function is linear on each triangle of
-    ``Grid.triangles()``, so the level set is a segment per triangle, with
-    endpoints where it crosses the triangle's edges (the grid module's edge
-    offsets) or at a vertex sitting exactly at the level."""
+    The graph of an order-1 function is linear on each simplex of
+    ``Grid.triangles()``, so in 2-d the level set is a segment per triangle,
+    with endpoints where it crosses the triangle's edges (the grid module's
+    edge offsets) or at a vertex sitting exactly at the level.  In 1-d each
+    piece is one crossing, computed from both ends of its edge."""
     grid = f.grid
+    m = grid.dim
     tri = grid.triangles()
-    pos = grid.node_lattice()[tri]  # (T, 3 vertices, 2)
+    pos = grid.node_lattice()[tri]  # (T, m + 1 vertices, m)
     val = f.values.reshape(-1)[tri]
-    # edge k runs from vertex k to vertex k + 1 (mod 3)
+    # edge k runs from vertex k to vertex k + 1 (mod m + 1)
     nxt_pos, nxt_val = np.roll(pos, -1, axis=1), np.roll(val, -1, axis=1)
     cross = (val - rho) * (nxt_val - rho) < 0
     s = np.where(cross, (rho - val) / np.where(cross, nxt_val - val, 1.0), np.nan)
-    pts = pos + s[..., None] * (nxt_pos - pos)  # (T, 3 edges, 2)
+    pts = pos + s[..., None] * (nxt_pos - pos)  # (T, m + 1 edges, m)
     n_cross = cross.sum(axis=1)
     two = n_cross == 2
-    segs = pts[two][cross[two]].reshape(-1, 2, 2)
+    segs = pts[two][cross[two]].reshape(-1, 2, m)
     # a segment can also run from a vertex sitting exactly at the level to
     # the crossing on the opposite edge
     at_level = np.abs(val - rho) <= 1e-14
@@ -259,7 +247,6 @@ def _segment_line_crossings(
     vp = p @ coeff
     vq = q @ coeff
     denom = vq - vp  # (E,)
-    out = []
     ok = np.abs(denom) > _TINY
     if not np.any(ok):
         return np.empty((0, 2))
@@ -270,8 +257,7 @@ def _segment_line_crossings(
         return np.empty((0, 2))
     e_idx, l_idx = np.nonzero(hit)
     sv = s[e_idx, l_idx][:, None]
-    out = p[e_idx] + sv * (q[e_idx] - p[e_idx])
-    return out
+    return p[e_idx] + sv * (q[e_idx] - p[e_idx])
 
 
 def _diag_crossings(
@@ -322,12 +308,12 @@ def _diag_crossings(
 def _kinks_2d(
     grid: Grid, levels: list[np.ndarray], cands: list[np.ndarray], eta: float
 ) -> list[np.ndarray]:
-    """Vertices of the 2-d kink arrangement off the candidate lattice, for a
-    per-axis uniform grid: crossings of the candidate lines with the cell
-    diagonals and with those pulled back by eta, and each level set
-    {h = rho} in ``levels`` (segments from ``_level_segments``, possibly
-    none) with its crossings of the candidate lines and the pulled-back
-    diagonals."""
+    """Vertices of the 2-d kink arrangement other than the candidate
+    lattice and the level-set endpoints, for a per-axis uniform grid:
+    crossings of the candidate lines with the cell diagonals and with those
+    pulled back by eta, and of each level set {h = rho} in ``levels``
+    (segments from ``_level_segments``, possibly none) with the candidate
+    lines and the pulled-back diagonals."""
     x_cand, y_cand = cands
     a1, a2 = grid.axes
     h1 = a1[1] - a1[0]
@@ -344,7 +330,6 @@ def _kinks_2d(
     c0 = (a2[0] - eta) - sigma * (a1[0] - eta)
     intercepts = c0 + h2 * np.arange(-(a1.size - 1), a2.size)
     for segs in levels:
-        chunks.append(segs.reshape(-1, 2))
         chunks.append(_segment_line_crossings(segs, np.array([1.0, 0.0]), x_cand))
         chunks.append(_segment_line_crossings(segs, np.array([0.0, 1.0]), y_cand))
         chunks.append(
@@ -365,15 +350,14 @@ def _sup_at_vertices(
     """Exact V(eta) for continuous (order-1) f and g, and the number of
     region points evaluated.  Both directions are piecewise linear, so V is
     the max over the vertices of their joint kink arrangement: the
-    candidate lattice and the kinks of both caps, which are the points
-    where f or g crosses rho in 1-d, or in 2-d ``_kinks_2d`` with the level
-    sets ``levels``.  The points are located twice, as they are and pulled
-    forward by eta, and f and g are both read off each set of weights."""
+    candidate lattice, the endpoints of the level sets ``levels`` where the
+    caps kink, and in 2-d ``_kinks_2d``.  The points are located twice, as
+    they are and pulled forward by eta, and f and g are both read off each
+    set of weights."""
     cands = _candidates(f.grid, lo, hi, eta)
     chunks = [lattice(cands)]
-    if f.grid.dim == 1:
-        chunks.extend(_cap_crossings_1d(h, cands[0], rho) for h in (f, g))
-    else:
+    chunks.extend(segs.reshape(-1, f.grid.dim) for segs in levels)
+    if f.grid.dim == 2:
         chunks.extend(_kinks_2d(f.grid, levels, cands, eta))
     pts = np.concatenate([c for c in chunks if c.size], axis=0)
     # one comparison per column: np.all over an (N, m) mask is slower here
@@ -435,9 +419,9 @@ def _violation_at(
     """eta -> (V(eta), region points evaluated) at radius rho.
 
     The work that depends on rho alone is done here, once per radius: the
-    region and, in 2-d, the cap tests h(lo) < rho < h(hi), which pick the
-    functions whose cap cuts the region, with the level sets {h = rho} of
-    those functions."""
+    region and the cap tests h(lo) < rho < h(hi), which pick the functions
+    whose cap cuts the region, with the level sets {h = rho} of those
+    functions."""
     reg = RhoBall(rho).region(f.grid.domain)
     if reg is None:
         return lambda eta: (-math.inf, 0)
@@ -445,12 +429,11 @@ def _violation_at(
     if f.order == 0 or g.order == 0:
         return partial(_sup_on_boxes, f, g, rho, lo, hi)
     levels = []
-    if f.grid.dim == 2:
-        corners = interpolation_weights(f.grid, np.stack([lo, hi]))
-        for h in (f, g):
-            at_lo, at_hi = h.interpolate(*corners)
-            if at_lo < rho < at_hi:
-                levels.append(_level_segments(h, rho))
+    corners = interpolation_weights(f.grid, np.stack([lo, hi]))
+    for h in (f, g):
+        at_lo, at_hi = h.interpolate(*corners)
+        if at_lo < rho < at_hi:
+            levels.append(_level_segments(h, rho))
     return partial(_sup_at_vertices, f, g, rho, lo, hi, levels)
 
 

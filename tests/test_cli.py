@@ -138,10 +138,9 @@ def test_estimate_delta_ladder_and_determinism(tmp_path):
 
 
 def test_ladder_matches_single_delta_estimates(tmp_path):
-    # each delta of a ladder starts from the slack-side etas of the larger
-    # deltas before it (out of order here, so 0.7 may use only 1.0's); its
-    # eta must equal a fresh single-delta estimate within tol
-    deltas = [1.0, 0.4, 0.7, 0.1]
+    # each delta of a ladder (out of order here) is estimated on its own, so
+    # its run equals a fresh single-delta estimate exactly
+    deltas = [0.7, 1.0, 0.4, 0.1]
     cfg = write_config(tmp_path / "ladder.json", delta=deltas)
     assert main(["estimate", "--config", str(cfg), "--out",
                  str(tmp_path / "ladder"), "--quiet"]) == 0
@@ -152,10 +151,42 @@ def test_ladder_matches_single_delta_estimates(tmp_path):
         assert main(["estimate", "--config", str(cfg), "--out",
                      str(tmp_path / name), "--quiet"]) == 0
         (single,) = read_json(tmp_path / name / "result.json")["runs"]
-        assert abs(run["eta"] - single["eta"]) <= 1e-8
+        for key in ("eta", "slack", "history"):
+            assert run[key] == single[key], key
     by_delta = sorted(runs, key=lambda r: -r["delta"])
     etas = [r["eta"] for r in by_delta]
     assert all(b >= a for a, b in zip(etas, etas[1:])), etas
+
+
+def test_generated_two_uniforms_ladder_runs(tmp_path):
+    # the README quickstart at its 50x50 demo size, in a subprocess, because
+    # a solver crash would take the interpreter with it; the slack curves of
+    # the two uniforms reach zero at eta = 1 - delta, and delta 1e-4
+    # saturates at eta = 1
+    import subprocess
+    import sys
+
+    import hypodist
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypodist.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    assert main(["generate", "two-uniforms", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    cfg = read_json(tmp_path / "two_uniforms_estimate.json")
+    run = subprocess.run(
+        [sys.executable, "-m", "hypodist.cli", "estimate", "--config",
+         str(tmp_path / "two_uniforms_estimate.json"), "--out",
+         str(tmp_path / "run"), "--quiet"],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    etas = {r["delta"]: r["eta"]
+            for r in read_json(tmp_path / "run" / "result.json")["runs"]}
+    assert sorted(etas) == sorted(cfg["delta"])
+    for delta in (0.7, 0.4, 0.1):
+        assert abs(etas[delta] - (1.0 - delta)) <= 10 * cfg["tol"], delta
+    assert etas[1e-4] == 1.0
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):
@@ -201,20 +232,6 @@ def test_iteration_limit_exit_code(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "run.json")
     assert main(["estimate", "--config", str(cfg), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 3
-
-
-def test_ladder_hint_skips_infeasible_probes(tmp_path):
-    # delta 1.0 stops at the infeasibility threshold eta_0; infeasibility
-    # does not depend on delta, so delta 0.7 must not probe those shifts again
-    cfg = write_config(tmp_path / "run.json", delta=[1.0, 0.7],
-                       grid={"cells_per_axis": 12})
-    out = tmp_path / "out"
-    assert main(["estimate", "--config", str(cfg), "--out", str(out),
-                 "--quiet"]) == 0
-    first, second = read_json(out / "result.json")["runs"]
-    infeasible = {h["eta"] for h in first["history"] if h["slack"] == math.inf}
-    assert infeasible
-    assert not infeasible & {h["eta"] for h in second["history"]}
 
 
 @pytest.mark.parametrize(
@@ -485,7 +502,9 @@ def test_nan_coordinates_are_config_errors(tmp_path, capsys, source):
     assert "$.F0" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("breakage", ["no order", "no grid", "list", "scalar lower"])
+@pytest.mark.parametrize(
+    "breakage", ["no order", "no grid", "list", "scalar lower", "comma-less row"]
+)
 def test_malformed_sidecar_is_a_config_error(tmp_path, capsys, breakage):
     grid = build_grid(Domain([0.0, 0.0], [3.0, 3.0]), 7)
     path = str(tmp_path / "f.csv")
@@ -497,8 +516,12 @@ def test_malformed_sidecar_is_a_config_error(tmp_path, capsys, breakage):
         del meta["grid"]
     elif breakage == "list":
         meta = [1, 2]
-    else:
+    elif breakage == "scalar lower":
         meta["grid"]["lower"] = 0
+    else:
+        lines = Path(path).read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace(",", "")
+        Path(path).write_text("".join(lines))
     write_json(path + ".meta.json", meta)
     cfg = write_config(tmp_path / "run.json",
                        F0={"kind": "grid_function", "path": "f.csv"})
@@ -506,3 +529,17 @@ def test_malformed_sidecar_is_a_config_error(tmp_path, capsys, breakage):
                  str(tmp_path / "o"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "$.F0: cannot load grid function" in err and "Traceback" not in err
+    if breakage == "comma-less row":
+        assert "line 4" in err
+
+
+@pytest.mark.parametrize("row", ["0.5", "0.5,0.5,0.5", "0.5,x"],
+                         ids=["short", "long", "not a number"])
+def test_malformed_samples_row_is_a_config_error(tmp_path, capsys, row):
+    (tmp_path / "pts.csv").write_text(f"x1,x2\n0.5,0.5\n{row}\n2.0,2.0\n")
+    cfg = write_config(tmp_path / "run.json",
+                       F0={"kind": "samples_csv", "path": "pts.csv"})
+    assert main(["estimate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "pts.csv: line 3" in err and "Traceback" not in err

@@ -451,19 +451,6 @@ def test_search_probe_count(two_uniforms_10):
     assert len(res.history) <= 12
 
 
-@pytest.mark.parametrize("lower", [0.2, 0.6], ids=["right", "wrong"])
-def test_lower_hint(two_uniforms_10, lower):
-    # eta = 0.2 leaves slack above tol at delta 0.7, eta = 0.6 does not;
-    # either way the hint is probed right after eta = 1 and the answer holds
-    prob = EstimationProblem(*two_uniforms_10, 0.7)
-    assert (min_slack(prob, lower)[0] > prob.tol) == (lower == 0.2)
-    res = estimate(prob, lower=lower)
-    assert res.history[1][0] == lower
-    assert abs(res.eta - reference_bisection(prob)) <= prob.tol
-    with pytest.raises(ValueError):
-        estimate(prob, lower=1.5)
-
-
 def test_warm_probe_sequence_matches_cold_solves(two_uniforms_10, caplog):
     # the probes of one estimate, each started from the last optimal
     # probe's basis, reach the same least slack as cold solves
@@ -508,9 +495,11 @@ for eta in (1.0, 0.29999998500000224, 0.3437499859375021, 0.5999999900000164):
     "ROADMAP item 1: HiGHS in SciPy 1.17.1 dies with SIGSEGV on the "
     "fourth probe of this warm chain"))
 def test_warm_probe_chain_at_50_cells_survives():
-    # the probes that the CLI's 50x50 demo ladder makes at delta 0.4, each
-    # started from the basis of the one before; in a subprocess, because
-    # the crash takes the interpreter with it
+    # the probes that an estimate at delta 0.4 started from the shift 0.3
+    # makes on the 50x50 demo problem, each started from the basis of the
+    # one before; the CLI no longer makes this chain, since each delta of
+    # a ladder starts at eta = 1.  In a subprocess, because the crash takes
+    # the interpreter with it
     import os
     import subprocess
     import sys
