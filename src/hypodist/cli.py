@@ -447,6 +447,10 @@ def cmd_estimate(args) -> int:
                 {"eta": h[0], "slack": h[1], "lp_iterations": h[2]}
                 for h in result.history
             ],
+            "eta0_search": [
+                {"eta": e, "t": t, "lp_iterations": it}
+                for e, t, it in result.eta0_probes
+            ],
             "wall_time": result.wall_time,
             "files": {
                 "solution": os.path.basename(sol_path),

@@ -21,10 +21,14 @@ never tightens the ambiguity rows), which is what makes a bracketing search
 over eta valid.  The slack curve is simple: below a threshold eta_0 the
 system is infeasible (slack +inf), and above it the slack falls linearly or
 piecewise linearly to zero.  ``estimate`` therefore searches with a
-safeguarded secant on the part where the slack is finite and positive, and
-bisects where it has no slope to follow, such as across the jump at eta_0.
-The slack is also nondecreasing in shrinking delta, so the returned eta
-responds monotonically to the ambiguity radius.
+safeguarded secant on the part where the slack is finite and positive.  The
+jump at eta_0 has no slope to follow, so eta_0 is found on a second curve:
+the signed target slack t(eta), the least uniform relaxation of the target
+rows with the shape rows hard and no ambiguity rows.  t is positive exactly
+where the system is infeasible, and it falls with slope at most -1, as the
+violation of the distance search does (``metrics.slope_bounded_search``
+serves both).  The slack is also nondecreasing in shrinking delta, so the
+returned eta responds monotonically to the ambiguity radius.
 """
 
 from __future__ import annotations
@@ -39,7 +43,12 @@ import numpy as np
 from . import lp
 from .functions import GridFunction, _axis_increments, cell_masses, resample
 from .grid import Grid, _vertex_signs, corner_bits, interpolation_weights, refine
-from .metrics import DistanceReport, default_rho, hypo_dist_estimate
+from .metrics import (
+    DistanceReport,
+    default_rho,
+    hypo_dist_estimate,
+    slope_bounded_search,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -152,6 +161,7 @@ class EstimateResult:
     eta: float
     slack: float
     history: list  # (eta, slack, lp_iterations) per solve, in order
+    eta0_probes: list  # (eta, t, lp_iterations) per target LP, in order
     wall_time: float
 
 
@@ -172,6 +182,17 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
     Returns the model and a dictionary of row counts per constraint group
     (and the slack variable's index).
     """
+    return _assemble(problem, eta)
+
+
+def _assemble(
+    problem: EstimationProblem, eta: float, t_lower: float | None = None
+) -> tuple[lp.LPModel, dict]:
+    """``assemble_lp``'s LP, or, given ``t_lower``, the target LP of
+    ``_target_slack``: the shape rows and the target rows, each target row
+    relaxed by one variable t >= t_lower, objective = t, and no ambiguity
+    rows.  The counts' "slack_index" is then t's index."""
+    target_slack = t_lower is not None
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     grid = problem.grid
@@ -182,7 +203,8 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
     n_nodes = grid.n_nodes
     dom = grid.domain
 
-    model = lp.LPModel(name=f"min-slack(eta={eta:.6g})")
+    kind = "target-slack" if target_slack else "min-slack"
+    model = lp.LPModel(name=f"{kind}(eta={eta:.6g})")
 
     # vertex variables; boundary flags become fixed bounds
     upper = np.ones(n_nodes)
@@ -192,7 +214,8 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
     if shape.boundary_one:
         lower[-1] = upper[-1] = 1.0
     model.add_variables(lower, upper)
-    s_idx = model.add_variable(lower=0.0, upper=math.inf, objective=1.0)
+    s_idx = model.add_variable(lower=t_lower if target_slack else 0.0,
+                               upper=math.inf, objective=1.0)
 
     counts = {
         "monotone": 0,
@@ -262,8 +285,9 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
                         -np.ones_like(s_col)])
         w_lower = w_nodes.shape[1] + int(slack)
         entries = np.ones(idx.shape, dtype=bool)
-        # exact-zero weights add nothing to a row (HiGHS discards them too)
-        entries[:, : w_nodes.shape[1]] = w_vals != 0.0
+        # weights at round-off level add nothing to a row (HiGHS drops
+        # entries below its small_matrix_value, 1e-9, too)
+        entries[:, : w_nodes.shape[1]] = np.abs(w_vals) > _SMALL_WEIGHT
         entries[:, w_lower:] = keep[:, None]
         rows = np.stack([np.ones(n_cells, dtype=bool), keep], axis=1)
         lengths = np.stack([np.count_nonzero(entries[:, :w_lower], axis=1),
@@ -279,10 +303,15 @@ def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dic
         counts[f"{tag}_lower"] += n_cells
         counts[f"{tag}_upper"] += int(np.count_nonzero(keep))
 
-    add_shift_rows(problem.F0, eta, slack=False, tag="target")
-    add_shift_rows(problem.G0, problem.delta, slack=True, tag="ambiguity")
+    add_shift_rows(problem.F0, eta, slack=target_slack, tag="target")
+    if not target_slack:
+        add_shift_rows(problem.G0, problem.delta, slack=True, tag="ambiguity")
 
     return model, counts
+
+
+# interpolation weights at or below this magnitude are left out of the rows
+_SMALL_WEIGHT = 1e-9
 
 
 # simplex iteration budget of every LP solve
@@ -304,16 +333,9 @@ def min_slack(
     return s, F
 
 
-def _solve_at(
-    problem: EstimationProblem,
-    eta: float,
-    *,
-    method: str,
-    basis=None,
-) -> tuple[float, GridFunction, int, object | None]:
-    """Least slack at shift eta, its witness, the LP iterations and the
-    optimal basis (``lp.solve`` starts from ``basis`` when it fits)."""
-    model, counts = assemble_lp(problem, eta)
+def _solve_lp(model: lp.LPModel, eta: float, method: str, basis) -> lp.LPSolution:
+    """Solve an LP of the search at shift eta, from ``basis`` when it fits;
+    raise unless HiGHS (or the simplex) reports an optimum."""
     sol = lp.solve(model, method=method, max_iterations=_MAX_ITERATIONS, basis=basis)
     if sol.status == "infeasible":
         raise ShapeInfeasibleError(
@@ -328,6 +350,20 @@ def _solve_at(
         raise lp.SolverError(
             f"unexpected LP status {sol.status!r} at shift eta={eta:.6g}"
         )
+    return sol
+
+
+def _solve_at(
+    problem: EstimationProblem,
+    eta: float,
+    *,
+    method: str,
+    basis=None,
+) -> tuple[float, GridFunction, int, object | None]:
+    """Least slack at shift eta, its witness, the LP iterations and the
+    optimal basis (``lp.solve`` starts from ``basis`` when it fits)."""
+    model, counts = assemble_lp(problem, eta)
+    sol = _solve_lp(model, eta, method, basis)
     x = sol.x
     s = max(float(x[counts["slack_index"]]), 0.0)
     values = np.clip(x[: problem.grid.n_nodes], 0.0, 1.0).reshape(problem.grid.shape)
@@ -336,6 +372,55 @@ def _solve_at(
     except ValueError as e:
         raise lp.SolverError(f"LP solution at shift eta={eta:.6g}: {e}") from e
     return s, F, sol.iterations, sol.basis
+
+
+def _target_slack(
+    problem: EstimationProblem,
+    eta: float,
+    *,
+    method: str,
+    basis=None,
+    t_lower: float = -math.inf,
+) -> tuple[float, int, object | None]:
+    """Signed target slack t(eta), the LP iterations and the optimal basis.
+
+    t(eta) is the least uniform relaxation of the target rows at shift eta
+    with the shape rows hard (the target LP of ``_assemble``).  It is
+    positive exactly where the shape and target rows are infeasible, so its
+    root is eta_0.  Kuhn interpolation of a monotone F and F0 is monotone,
+    so a witness at eta satisfies the rows at eta + d with t - d:
+    t(eta + d) <= t(eta) - d.  With ``t_lower`` = 0 the LP returns
+    max(t(eta), 0)."""
+    model, counts = _assemble(problem, eta, t_lower)
+    sol = _solve_lp(model, eta, method, basis)
+    return float(sol.x[counts["slack_index"]]), sol.iterations, sol.basis
+
+
+def _eta0_bracket(
+    problem: EstimationProblem, lo: float, hi: float, method: str, record: list
+) -> tuple[float, float] | None:
+    """Bracket eta_0 in (lo, hi] to within tol by ``slope_bounded_search``
+    on t(eta), appending (eta, t, lp_iterations) per target LP to ``record``.
+
+    The slack LP is infeasible at lo and feasible at hi.  The first target
+    LP, at lo, starts cold and bounds t below by 0: t(lo) > 0 is expected
+    there, so the bound leaves it unchanged, and it makes the cold solve
+    faster.  Each later target LP leaves t free and starts from the basis
+    of the one before.  Returns None when the target LP disagrees with the
+    slack LP at either end (t <= 0 at lo, or t > 0 at hi), which can happen
+    only within the solver tolerances."""
+    t_lo, it, basis = _target_slack(problem, lo, method=method, t_lower=0.0)
+    record.append((lo, t_lo, it))
+    if not t_lo > 0.0:
+        return None
+
+    def t_at(eta: float) -> float:
+        nonlocal basis
+        t, it, basis = _target_slack(problem, eta, method=method, basis=basis)
+        record.append((eta, t, it))
+        return t
+
+    return slope_bounded_search(t_at, lo, t_lo, hi, problem.tol, 0.0)
 
 
 def estimate(
@@ -355,9 +440,16 @@ def estimate(
     chosen (Brent 1973, *Algorithms for Minimization without Derivatives*)
     from the probes whose slack is finite and above tol:
 
-    - none: bisect, so a curve without such points, such as the jump from
-      infeasible to zero slack at eta_0, is searched exactly as by plain
-      bisection;
+    - none: bisect, until a probe is infeasible.  Then the bracket holds the
+      threshold eta_0 of the shape and target rows, and ``_eta0_bracket``
+      narrows it to within tol on the target slack t(eta) (module
+      docstring), a search done at most once per estimate.  The slack LP
+      at its upper end, solved cold, certifies the end: slack at most tol
+      is the answer; finite slack above tol makes that end the first point
+      of the secant below; an infeasible LP (the two LPs disagree within
+      the solver tolerances) leaves the search to bisection, as does t <= 0
+      at the infeasible lower end.  The target LPs are recorded in
+      ``eta0_probes`` as (eta, t, lp_iterations);
     - one: step 1/16 of the bracket up from lo, which either gives the
       second point or shrinks the bracket sixteenfold;
     - two or more: follow the secant through the last two to slack = tol,
@@ -371,12 +463,15 @@ def estimate(
     It also bisects whenever the last two probes together neither halved
     the bracket nor halved lo's slack in excess of tol.
 
-    Each probe after the first starts HiGHS from the optimal basis of the
-    last optimal probe.  Consecutive probes differ only in the target rows,
-    so a few pivots repair that basis.  It is used only when the row count
-    matches, which holds whenever rho > 2: no upper target row is dropped
-    then.  The warm start covers one estimate only, and the first probe is
-    always cold.  The next delta of a ladder starts at eta = 1, far from
+    Each slack probe after the first starts HiGHS from the optimal basis
+    of the last optimal slack probe.  Consecutive probes differ only in the
+    target rows, so a few pivots repair that basis.  It is used only when
+    the row count matches, which holds whenever rho > 2: no upper target
+    row is dropped then.  Besides the first probe, two solves start cold:
+    the first target LP, and the slack LP that certifies the end of the
+    search on t, which is far from the last slack basis.  Each later target
+    LP starts from the one before.  The warm start covers one estimate
+    only.  The next delta of a ladder starts at eta = 1, far from
     where the last search ended, and a basis carried there needed more
     pivots than a cold solve with presolve.
     """
@@ -392,13 +487,14 @@ def estimate(
             s1,
         )
         _warn_if_shape_violated(problem, F1)
-        return EstimateResult(F1, 1.0, s1, history, time.perf_counter() - t0)
+        return EstimateResult(F1, 1.0, s1, history, [], time.perf_counter() - t0)
 
     lo, hi = 0.0, 1.0
     best = (1.0, s1, F1)
     s_lo = math.inf  # slack at lo: inf while lo is 0 or infeasible
     points: list[tuple[float, float]] = []  # probes with tol < slack < inf
     trail = [(hi - lo, s_lo)]  # bracket width and slack at lo per probe
+    eta0_probes: list[tuple[float, float, int]] = []  # target LPs, once
 
     def probe(eta: float) -> None:
         nonlocal lo, hi, best, s_lo, basis
@@ -416,16 +512,26 @@ def estimate(
         trail.append((hi - lo, s_lo))
 
     while hi - lo > eps:
+        if s_lo == math.inf and lo > 0.0 and not points and not eta0_probes:
+            bracket = _eta0_bracket(problem, lo, hi, method, eta0_probes)
+            if bracket is not None:
+                lo, eta = bracket
+                if eta < hi:
+                    basis = None  # the last slack basis is far from eta_0
+                    probe(eta)
+                continue
         probe(_next_shift(lo, hi, best[1], points, trail, eps))
     eta_star, s_star, F_star = best
     _warn_if_shape_violated(problem, F_star)
     logger.info(
-        "estimate: eta=%.8f slack=%.3g after %d LP solves",
+        "estimate: eta=%.8f slack=%.3g after %d LP solves (%d on the target slack)",
         eta_star,
         s_star,
-        len(history),
+        len(history) + len(eta0_probes),
+        len(eta0_probes),
     )
-    return EstimateResult(F_star, eta_star, s_star, history, time.perf_counter() - t0)
+    return EstimateResult(F_star, eta_star, s_star, history, eta0_probes,
+                          time.perf_counter() - t0)
 
 
 # with one point, the next probe goes this share of the bracket up from lo:

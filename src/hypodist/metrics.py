@@ -453,61 +453,93 @@ def kenmochi_ok(f: GridFunction, g: GridFunction, rho: float, eta: float) -> boo
     return _violation(f, g, rho, eta) <= SUP_TOL
 
 
+def slope_bounded_search(
+    value: Callable[[float], float],
+    lo: float,
+    v_lo: float,
+    hi: float,
+    tol: float,
+    threshold: float,
+) -> tuple[float, float] | None:
+    """Bracket the least eta in (lo, hi] with value(eta) <= threshold, for a
+    value that falls with slope at most -1: value(eta + d) <= value(eta) - d.
+
+    ``v_lo`` = value(lo) must exceed the threshold.  The search keeps a
+    bracket of *evaluated* shifts, value(lo) > threshold and value(hi) <=
+    threshold, and stops once hi - lo <= tol.  By the slope bound the root
+    of value lies in [hi + value(hi), lo + value(lo)]: min(hi, lo + v_lo) is
+    the first probe, then hi itself if that probe lands above the threshold,
+    and after each secant probe between the bracket ends the bound on the
+    side that did not move is probed too.  The bound only proposes shifts;
+    every end is certified by its own evaluation.  A midpoint replaces the
+    secant when two rounds failed to halve the bracket, as on steps.
+
+    Returns the final bracket (lo, hi), or None when value(hi) exceeds the
+    threshold, so that no end in (lo, hi] can be certified.
+    """
+    v_hi = math.nan
+
+    def probe(eta: float) -> bool:
+        nonlocal lo, v_lo, hi, v_hi
+        v = value(eta)
+        if v <= threshold:
+            hi, v_hi = eta, v
+            return True
+        lo, v_lo = eta, v
+        return False
+
+    # rounding can leave lo + v_lo just above the threshold
+    first = min(hi, lo + v_lo)
+    if not probe(first) and (first == hi or not probe(hi)):
+        return None
+    widths = [hi - lo]
+    while hi - lo > tol:
+        if len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]:
+            eta = 0.5 * (lo + hi)
+        else:
+            eta = lo + v_lo * (hi - lo) / (v_lo - v_hi)  # secant aimed at 0
+        eta = min(max(eta, lo + 0.5 * tol), hi - 0.5 * tol)
+        step = hi + v_hi if probe(eta) else lo + v_lo
+        if lo + 0.5 * tol < step < hi - 0.5 * tol:
+            probe(step)
+        widths.append(hi - lo)
+    return lo, hi
+
+
 def _hat_bracketed(
     f: GridFunction, g: GridFunction, rho: float, tol: float, lo: float
 ) -> tuple[float, int, int]:
     """Least feasible shift at or above lo, to within tol, with the number of
     violation evaluations spent on it and the region points they evaluated.
 
-    The search keeps a bracket of *evaluated* shifts: V(lo) > SUP_TOL and
-    V(hi) <= SUP_TOL.  It stops once hi - lo <= tol and returns hi, so the
-    result overshoots the threshold by at most tol.  Since V falls with
-    slope at most -1 (module docstring), the threshold lies in
-    [hi + V(hi), lo + V(lo)]: lo + V(lo) is the first hi, and after each
-    secant probe between the bracket ends the bound on the side that did not
-    move is probed too.  The bound only proposes shifts; every end is
-    certified by its own evaluation.  A midpoint replaces the secant when two
-    rounds failed to halve the bracket, as on steps of order-0 functions.
-    The per-radius setup of V (``_violation_at``) is done once, before the
-    first probe.
+    A shift is feasible when V(eta) <= SUP_TOL.  Unless lo itself is, the
+    shift is found by ``slope_bounded_search`` in (lo, 1], since V falls
+    with slope at most -1 (module docstring); the result is its upper end,
+    so it overshoots the threshold by at most tol.  The per-radius setup of
+    V (``_violation_at``) is done once, before the first probe.
     """
     violation = _violation_at(f, g, rho)
     evaluations = points = 0
 
-    def probe(eta: float) -> bool:
-        nonlocal lo, v_lo, hi, v_hi, evaluations, points
+    def value(eta: float) -> float:
+        nonlocal evaluations, points
         v, n = violation(eta)
         evaluations += 1
         points += n
-        if v <= SUP_TOL:
-            hi, v_hi = eta, v
-            return True
-        lo, v_lo = eta, v
-        return False
+        return v
 
-    hi = v_hi = v_lo = math.nan
-    if probe(lo):
+    v_lo = value(lo)
+    if v_lo <= SUP_TOL:
         return lo, evaluations, points
-    # rounding (or a monotone flag accepted within MONOTONE_ATOL) can leave
-    # lo + V(lo) just infeasible; shift 1 is feasible for [0, 1]-valued inputs
-    first = min(1.0, lo + v_lo)
-    if not probe(first) and (first == 1.0 or not probe(1.0)):
+    # shift 1 is feasible for [0, 1]-valued inputs, unless a monotone flag
+    # was accepted within MONOTONE_ATOL
+    bracket = slope_bounded_search(value, lo, v_lo, 1.0, tol, SUP_TOL)
+    if bracket is None:
         raise ValueError(
             "shift 1 is infeasible; inputs are not [0, 1]-valued monotone "
             "functions within tolerance"
         )
-    widths = [hi - lo]
-    while hi - lo > tol:
-        if len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]:
-            eta = 0.5 * (lo + hi)
-        else:
-            eta = lo + v_lo * (hi - lo) / (v_lo - v_hi)  # secant aimed at V = 0
-        eta = min(max(eta, lo + 0.5 * tol), hi - 0.5 * tol)
-        step = hi + v_hi if probe(eta) else lo + v_lo
-        if lo + 0.5 * tol < step < hi - 0.5 * tol:
-            probe(step)
-        widths.append(hi - lo)
-    return hi, evaluations, points
+    return bracket[1], evaluations, points
 
 
 def hat_dl_rho(

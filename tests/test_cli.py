@@ -151,7 +151,7 @@ def test_ladder_matches_single_delta_estimates(tmp_path):
         assert main(["estimate", "--config", str(cfg), "--out",
                      str(tmp_path / name), "--quiet"]) == 0
         (single,) = read_json(tmp_path / name / "result.json")["runs"]
-        for key in ("eta", "slack", "history"):
+        for key in ("eta", "slack", "history", "eta0_search"):
             assert run[key] == single[key], key
     by_delta = sorted(runs, key=lambda r: -r["delta"])
     etas = [r["eta"] for r in by_delta]

@@ -96,7 +96,7 @@ def reference_lp(problem, eta):
     monotone rows axis by axis, distribution rows, growth rows (axis-0
     edges, axis-1 edges, diagonals), then per anchor each cell's lower row
     followed by its upper row when kept.  A lower row leaves out the
-    interpolation weights that are exactly zero."""
+    interpolation weights of magnitude at most 1e-9, round-off included."""
     grid, shape, rho = problem.grid, problem.shape, problem.rho
     dims, m, n = grid.shape, grid.dim, grid.n_nodes
     rows, counts = [], dict.fromkeys(
@@ -160,7 +160,7 @@ def reference_lp(problem, eta):
         at_probe = np.atleast_1d(anchor.eval(probe))
         extra_idx, extra_cf = ([s], [1.0]) if slack else ([], [])
         for k, c in enumerate(cells):
-            nz = w_vals[k] != 0.0  # exact-zero weights are left out
+            nz = np.abs(w_vals[k]) > 1e-9  # zero and round-off weights are left out
             add(f"{tag}_lower", list(w_nodes[k][nz]) + extra_idx,
                 list(w_vals[k][nz]) + extra_cf, ">=", min(at_u[k], rho) - r)
             if at_probe[k] + r < rho:
@@ -187,11 +187,19 @@ def _equivalence_cases():
         F0, F0, 0.5, rho=0.05,
         shape=ShapeConstraints(boundary_zero=False, boundary_one=False,
                                distribution_condition=False))
-    return [(one_d, 0.3), (two_d, 0.4), (two_d_capped, 0.25), (capped, 0.3)]
+    # equal cell widths: shifts by whole cells leave weights of order 1e-16
+    # where an exact shift has zeros
+    g4 = build_grid(Domain([0.0, 0.0], [3.0, 3.0]), 4)
+    equal_widths = EstimationProblem(realize(UniformBox([0.0, 0.0], [1.0, 1.0]), g4),
+                                     realize(UniformBox([2.0, 2.0], [3.0, 3.0]), g4),
+                                     0.7)
+    return [(one_d, 0.3), (two_d, 0.4), (two_d_capped, 0.25), (capped, 0.3),
+            (equal_widths, 0.2)]
 
 
-@pytest.mark.parametrize("case", range(4), ids=["1d-growth", "2d-growth",
-                                                 "2d-partly-capped", "capped"])
+@pytest.mark.parametrize("case", range(5), ids=["1d-growth", "2d-growth",
+                                                 "2d-partly-capped", "capped",
+                                                 "equal-widths"])
 def test_assembly_matches_row_by_row_reference(case):
     problem, eta = _equivalence_cases()[case]
     rows, (lower, upper), ref_counts = reference_lp(problem, eta)
@@ -449,6 +457,65 @@ def test_search_probe_count(two_uniforms_10):
     # takes 28 probes to reach the default tol 1e-8
     res = estimate(EstimationProblem(*two_uniforms_10, 0.7))
     assert len(res.history) <= 12
+
+
+def test_eta0_search_probe_count(two_uniforms_10):
+    # delta 1.0 stops at eta_0, where the slack jumps from infeasible to zero;
+    # bisecting across that jump took 28 LP solves
+    res = estimate(EstimationProblem(*two_uniforms_10, 1.0))
+    assert res.eta0_probes and res.eta0_probes[0][1] > 0.0
+    assert len(res.history) + len(res.eta0_probes) <= 14
+
+
+@pytest.mark.parametrize("case", ["disagrees-at-lo", "infeasible-at-hi"])
+def test_eta0_search_falls_back_to_bisection(two_uniforms_10, monkeypatch, case):
+    # a target slack that reads t <= 0 where the slack LP is infeasible, or
+    # that ends the search below eta_0, sends the search back to bisection
+    from hypodist import estimator
+
+    target_slack = estimator._target_slack
+
+    def biased(*args, **kwargs):
+        t, it, basis = target_slack(*args, **kwargs)
+        return (-1.0 if case == "disagrees-at-lo" else t - 0.01), it, basis
+
+    monkeypatch.setattr(estimator, "_target_slack", biased)
+    prob = EstimationProblem(*two_uniforms_10, 1.0)
+    res = estimate(prob)
+    assert abs(res.eta - reference_bisection(prob)) <= prob.tol
+    if case == "disagrees-at-lo":
+        assert len(res.eta0_probes) == 1  # no search from a lo with t <= 0
+    else:
+        # the slack LP at the search's upper end is infeasible
+        searched = {eta for eta, _, _ in res.eta0_probes}
+        assert any(eta in searched and s == math.inf for eta, s, _ in res.history)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cells=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    eta=st.floats(0.0, 1.0),
+    share=st.floats(0.0, 1.0),
+)
+def test_target_slack_sign_and_slope(seed, cells, eta, share):
+    # t > 0 exactly where the slack LP is infeasible, and t falls with slope
+    # at most -1 in eta
+    from hypodist.estimator import _target_slack
+    from tests.conftest import random_monotone
+
+    rng = np.random.default_rng(seed)
+    g = build_grid(Domain([0.0, 0.0], [1.0, 1.0]), [c + 1 for c in cells])
+    F0, G0 = (random_monotone(rng, g) for _ in range(2))
+    prob = EstimationProblem(F0, G0, 0.5)
+    t = _target_slack(prob, eta, method="auto")[0]
+    if t > 1e-9:
+        with pytest.raises(ShapeInfeasibleError):
+            min_slack(prob, eta)
+    elif t < -1e-9:
+        min_slack(prob, eta)
+    later = min(eta + share * (1.0 - eta), 1.0)
+    assert _target_slack(prob, later, method="auto")[0] <= t - (later - eta) + 1e-9
 
 
 def test_warm_probe_sequence_matches_cold_solves(two_uniforms_10, caplog):
