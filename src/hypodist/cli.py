@@ -444,12 +444,9 @@ def cmd_estimate(args) -> int:
             "slack": result.slack,
             "expected_value": _expected_value_or_none(result.solution),
             "history": [
-                {"eta": h[0], "slack": h[1], "lp_iterations": h[2]}
-                for h in result.history
-            ],
-            "eta0_search": [
-                {"eta": e, "t": t, "lp_iterations": it}
-                for e, t, it in result.eta0_probes
+                {"eta": e, "kind": "target" if i else "slack", "objective": v,
+                 "lp_iterations": it}
+                for i, (e, v, it) in enumerate(result.history)
             ],
             "wall_time": result.wall_time,
             "files": {

@@ -17,18 +17,19 @@ is the smallest eta whose minimal slack vanishes, or eta = 1 with positive
 slack when even the loosest shift cannot reconcile the constraints.
 
 The minimal slack is nonincreasing in eta (relaxing the target conditions
-never tightens the ambiguity rows), which is what makes a bracketing search
-over eta valid.  The slack curve is simple: below a threshold eta_0 the
-system is infeasible (slack +inf), and above it the slack falls linearly or
-piecewise linearly to zero.  ``estimate`` therefore searches with a
-safeguarded secant on the part where the slack is finite and positive.  The
-jump at eta_0 has no slope to follow, so eta_0 is found on a second curve:
-the signed target slack t(eta), the least uniform relaxation of the target
-rows with the shape rows hard and no ambiguity rows.  t is positive exactly
-where the system is infeasible, and it falls with slope at most -1, as the
+never tightens the ambiguity rows), and nondecreasing in shrinking delta,
+so the returned eta responds monotonically to the ambiguity radius.  Below
+a threshold eta_0 the system is infeasible, so the slack jumps there and
+has no slope to follow.  ``estimate`` therefore searches one other curve:
+the target slack t(eta), the least uniform relaxation t of the target rows
+with the shape rows hard and the ambiguity slack capped at tol.  t(eta) <= 0
+exactly where the minimal slack is at most tol.  Kuhn interpolation of a
+monotone function is monotone, and the ambiguity rows do not depend on eta,
+so a witness at eta satisfies the target rows at eta + d with t - d:
+t(eta + d) <= t(eta) - d.  t is finite wherever the ambiguity rows admit a
+slack of at most tol at all, with no jump at eta_0, and it falls as the
 violation of the distance search does (``metrics.slope_bounded_search``
-serves both).  The slack is also nondecreasing in shrinking delta, so the
-returned eta responds monotonically to the ambiguity radius.
+serves both).
 """
 
 from __future__ import annotations
@@ -160,8 +161,9 @@ class EstimateResult:
     solution: GridFunction
     eta: float
     slack: float
-    history: list  # (eta, slack, lp_iterations) per solve, in order
-    eta0_probes: list  # (eta, t, lp_iterations) per target LP, in order
+    # (eta, LP objective, lp_iterations) per LP: the slack LP at eta = 1,
+    # then the target LPs in the order solved
+    history: list
     wall_time: float
 
 
@@ -175,24 +177,20 @@ class RefinementReport:
 # -- LP assembly -------------------------------------------------------------------
 
 
-def assemble_lp(problem: EstimationProblem, eta: float) -> tuple[lp.LPModel, dict]:
-    """Build the fixed-shift feasibility LP: vertex variables in [0, 1], one
-    slack on the ambiguity rows, objective = slack.
-
-    Returns the model and a dictionary of row counts per constraint group
-    (and the slack variable's index).
-    """
-    return _assemble(problem, eta)
-
-
-def _assemble(
-    problem: EstimationProblem, eta: float, t_lower: float | None = None
+def assemble_lp(
+    problem: EstimationProblem, eta: float, *, target: bool = False
 ) -> tuple[lp.LPModel, dict]:
-    """``assemble_lp``'s LP, or, given ``t_lower``, the target LP of
-    ``_target_slack``: the shape rows and the target rows, each target row
-    relaxed by one variable t >= t_lower, objective = t, and no ambiguity
-    rows.  The counts' "slack_index" is then t's index."""
-    target_slack = t_lower is not None
+    """Build an LP of the search at shift eta: vertex variables in [0, 1] and
+    one slack s on the ambiguity rows.
+
+    The slack LP (the default) has s >= 0 and objective = s.  The target LP
+    (``target=True``) caps s at tol, adds a free variable t to every target
+    row as a uniform relaxation, and has objective = t.
+
+    Returns the model and a dictionary of row counts per constraint group,
+    with the slack variable's index and, for the target LP, t's index under
+    "target_index".
+    """
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     grid = problem.grid
@@ -203,7 +201,7 @@ def _assemble(
     n_nodes = grid.n_nodes
     dom = grid.domain
 
-    kind = "target-slack" if target_slack else "min-slack"
+    kind = "target-slack" if target else "min-slack"
     model = lp.LPModel(name=f"{kind}(eta={eta:.6g})")
 
     # vertex variables; boundary flags become fixed bounds
@@ -214,8 +212,8 @@ def _assemble(
     if shape.boundary_one:
         lower[-1] = upper[-1] = 1.0
     model.add_variables(lower, upper)
-    s_idx = model.add_variable(lower=t_lower if target_slack else 0.0,
-                               upper=math.inf, objective=1.0)
+    s_idx = model.add_variable(lower=0.0, upper=problem.tol if target else math.inf,
+                               objective=0.0 if target else 1.0)
 
     counts = {
         "monotone": 0,
@@ -227,6 +225,10 @@ def _assemble(
         "ambiguity_upper": 0,
         "slack_index": s_idx,
     }
+    t_idx = None
+    if target:
+        t_idx = counts["target_index"] = model.add_variable(
+            lower=-math.inf, upper=math.inf, objective=1.0)
 
     def add_rows(group: str, idx, cf, sense: str, rhs) -> None:
         counts[group] += len(model.add_constraints(idx, cf, sense, rhs))
@@ -265,12 +267,12 @@ def _assemble(
                      (L * length).reshape(-1))
 
     # (e)/(f) shift rows over every cell, each cell's lower row followed by
-    # its upper row:
-    #   F(clip(l_k + r)) + r [+ s] >= min(anchor(u_k), rho)
-    #   anchor(clip(l_k + r)) + r [+ s] >= min(F(u_k), rho), vacuous when the
-    #   constant side already reaches rho, else a cap F(u_k) [- s] <= ...
+    # its upper row, relaxed by the variable ``relax`` (t or s) if any:
+    #   F(clip(l_k + r)) + r [+ relax] >= min(anchor(u_k), rho)
+    #   anchor(clip(l_k + r)) + r [+ relax] >= min(F(u_k), rho), vacuous when
+    #   the constant side already reaches rho, else a cap F(u_k) [- relax] <= ...
     def add_shift_rows(
-        anchor: GridFunction, radius: float, slack: bool, tag: str
+        anchor: GridFunction, radius: float, relax: int | None, tag: str
     ) -> None:
         probe = np.clip(lower_pts + radius, dom.lower, dom.upper)
         w_nodes, w_vals = interpolation_weights(grid, probe)
@@ -279,11 +281,12 @@ def _assemble(
         lower_rhs = np.minimum(anchor_at_u, rho) - radius
         upper_rhs = anchor_at_probe + radius
         keep = upper_rhs < rho
-        s_col = np.full((n_cells, int(slack)), s_idx)
-        idx = np.hstack([w_nodes, s_col, u_flat[:, None], s_col])
-        cf = np.hstack([w_vals, np.ones_like(s_col), np.ones((n_cells, 1)),
-                        -np.ones_like(s_col)])
-        w_lower = w_nodes.shape[1] + int(slack)
+        r_col = (np.empty((n_cells, 0), int) if relax is None
+                 else np.full((n_cells, 1), relax))
+        idx = np.hstack([w_nodes, r_col, u_flat[:, None], r_col])
+        cf = np.hstack([w_vals, np.ones_like(r_col), np.ones((n_cells, 1)),
+                        -np.ones_like(r_col)])
+        w_lower = w_nodes.shape[1] + r_col.shape[1]
         entries = np.ones(idx.shape, dtype=bool)
         # weights at round-off level add nothing to a row (HiGHS drops
         # entries below its small_matrix_value, 1e-9, too)
@@ -303,9 +306,8 @@ def _assemble(
         counts[f"{tag}_lower"] += n_cells
         counts[f"{tag}_upper"] += int(np.count_nonzero(keep))
 
-    add_shift_rows(problem.F0, eta, slack=target_slack, tag="target")
-    if not target_slack:
-        add_shift_rows(problem.G0, problem.delta, slack=True, tag="ambiguity")
+    add_shift_rows(problem.F0, eta, t_idx, "target")
+    add_shift_rows(problem.G0, problem.delta, s_idx, "ambiguity")
 
     return model, counts
 
@@ -316,6 +318,46 @@ _SMALL_WEIGHT = 1e-9
 
 # simplex iteration budget of every LP solve
 _MAX_ITERATIONS = 200_000
+
+
+def _solve(
+    problem: EstimationProblem, eta: float, method: str, *, target: bool = False,
+    basis=None,
+) -> tuple[lp.LPSolution, np.ndarray]:
+    """Solve ``assemble_lp``'s LP at shift eta, from ``basis`` when it fits.
+
+    Returns the solution and its x clipped to the variable bounds.  Raises
+    unless HiGHS (or the simplex) reports an optimum."""
+    model, _ = assemble_lp(problem, eta, target=target)
+    sol = lp.solve(model, method=method, max_iterations=_MAX_ITERATIONS, basis=basis)
+    if sol.status == "infeasible":
+        raise ShapeInfeasibleError(
+            f"constraint system infeasible at shift eta={eta:.6g} "
+            f"(the shape constraints cannot be reconciled with the other rows)"
+        )
+    if sol.status == "iteration_limit":
+        raise IterationLimitError(
+            f"LP iteration budget exhausted at shift eta={eta:.6g}"
+        )
+    if sol.status != "optimal":
+        raise lp.SolverError(
+            f"unexpected LP status {sol.status!r} at shift eta={eta:.6g}"
+        )
+    return sol, np.clip(sol.x, *model.bounds)
+
+
+def _witness(
+    problem: EstimationProblem, eta: float, x: np.ndarray
+) -> tuple[float, GridFunction]:
+    """The slack s and the function F of a clipped LP solution x at shift
+    eta (``assemble_lp`` puts s right after the node values)."""
+    n = problem.grid.n_nodes
+    try:
+        F = GridFunction(problem.grid, 1, x[:n].reshape(problem.grid.shape),
+                         monotone=True)
+    except ValueError as e:
+        raise lp.SolverError(f"LP solution at shift eta={eta:.6g}: {e}") from e
+    return float(x[n]), F
 
 
 def min_slack(
@@ -329,98 +371,7 @@ def min_slack(
     Raises ShapeInfeasibleError when no function satisfies the constraint
     system at this shift (possible at small eta, where the target rows
     contradict each other or the shape rows)."""
-    s, F, _, _ = _solve_at(problem, eta, method=method)
-    return s, F
-
-
-def _solve_lp(model: lp.LPModel, eta: float, method: str, basis) -> lp.LPSolution:
-    """Solve an LP of the search at shift eta, from ``basis`` when it fits;
-    raise unless HiGHS (or the simplex) reports an optimum."""
-    sol = lp.solve(model, method=method, max_iterations=_MAX_ITERATIONS, basis=basis)
-    if sol.status == "infeasible":
-        raise ShapeInfeasibleError(
-            f"constraint system infeasible at shift eta={eta:.6g} "
-            f"(shape constraints and target rows cannot be reconciled)"
-        )
-    if sol.status == "iteration_limit":
-        raise IterationLimitError(
-            f"LP iteration budget exhausted at shift eta={eta:.6g}"
-        )
-    if sol.status != "optimal":
-        raise lp.SolverError(
-            f"unexpected LP status {sol.status!r} at shift eta={eta:.6g}"
-        )
-    return sol
-
-
-def _solve_at(
-    problem: EstimationProblem,
-    eta: float,
-    *,
-    method: str,
-    basis=None,
-) -> tuple[float, GridFunction, int, object | None]:
-    """Least slack at shift eta, its witness, the LP iterations and the
-    optimal basis (``lp.solve`` starts from ``basis`` when it fits)."""
-    model, counts = assemble_lp(problem, eta)
-    sol = _solve_lp(model, eta, method, basis)
-    x = sol.x
-    s = max(float(x[counts["slack_index"]]), 0.0)
-    values = np.clip(x[: problem.grid.n_nodes], 0.0, 1.0).reshape(problem.grid.shape)
-    try:
-        F = GridFunction(problem.grid, 1, values, monotone=True)
-    except ValueError as e:
-        raise lp.SolverError(f"LP solution at shift eta={eta:.6g}: {e}") from e
-    return s, F, sol.iterations, sol.basis
-
-
-def _target_slack(
-    problem: EstimationProblem,
-    eta: float,
-    *,
-    method: str,
-    basis=None,
-    t_lower: float = -math.inf,
-) -> tuple[float, int, object | None]:
-    """Signed target slack t(eta), the LP iterations and the optimal basis.
-
-    t(eta) is the least uniform relaxation of the target rows at shift eta
-    with the shape rows hard (the target LP of ``_assemble``).  It is
-    positive exactly where the shape and target rows are infeasible, so its
-    root is eta_0.  Kuhn interpolation of a monotone F and F0 is monotone,
-    so a witness at eta satisfies the rows at eta + d with t - d:
-    t(eta + d) <= t(eta) - d.  With ``t_lower`` = 0 the LP returns
-    max(t(eta), 0)."""
-    model, counts = _assemble(problem, eta, t_lower)
-    sol = _solve_lp(model, eta, method, basis)
-    return float(sol.x[counts["slack_index"]]), sol.iterations, sol.basis
-
-
-def _eta0_bracket(
-    problem: EstimationProblem, lo: float, hi: float, method: str, record: list
-) -> tuple[float, float] | None:
-    """Bracket eta_0 in (lo, hi] to within tol by ``slope_bounded_search``
-    on t(eta), appending (eta, t, lp_iterations) per target LP to ``record``.
-
-    The slack LP is infeasible at lo and feasible at hi.  The first target
-    LP, at lo, starts cold and bounds t below by 0: t(lo) > 0 is expected
-    there, so the bound leaves it unchanged, and it makes the cold solve
-    faster.  Each later target LP leaves t free and starts from the basis
-    of the one before.  Returns None when the target LP disagrees with the
-    slack LP at either end (t <= 0 at lo, or t > 0 at hi), which can happen
-    only within the solver tolerances."""
-    t_lo, it, basis = _target_slack(problem, lo, method=method, t_lower=0.0)
-    record.append((lo, t_lo, it))
-    if not t_lo > 0.0:
-        return None
-
-    def t_at(eta: float) -> float:
-        nonlocal basis
-        t, it, basis = _target_slack(problem, eta, method=method, basis=basis)
-        record.append((eta, t, it))
-        return t
-
-    return slope_bounded_search(t_at, lo, t_lo, hi, problem.tol, 0.0)
+    return _witness(problem, eta, _solve(problem, eta, method)[1])
 
 
 def estimate(
@@ -428,144 +379,65 @@ def estimate(
     *,
     method: str = "auto",
 ) -> EstimateResult:
-    """Smallest shift eta whose minimal ambiguity slack vanishes (within the
-    problem tolerance), or eta = 1 with the positive residual slack when the
+    """Smallest shift eta whose minimal ambiguity slack is at most tol
+    (within tol), or eta = 1 with the positive residual slack when the
     ambiguity ball is too tight for the shape constraints.
 
-    The first probe is eta = 1; when its slack exceeds tol, that is the
-    answer.  Otherwise the search keeps a bracket (lo, hi] with slack above
-    tol (or an infeasible system) at lo and slack at most tol at hi, and
-    stops once hi - lo <= tol, so the returned eta is hi and lies within
-    tol of the true threshold, as with plain bisection.  Each probe is
-    chosen (Brent 1973, *Algorithms for Minimization without Derivatives*)
-    from the probes whose slack is finite and above tol:
+    The first LP is the slack LP at eta = 1; when its slack exceeds tol,
+    that is the answer.  Otherwise the target slack t(eta) (module
+    docstring) is finite on [0, 1] and falls with slope at most -1, and
+    ``slope_bounded_search`` brackets its root from lo = 0: the bracket
+    (lo, hi] has t(lo) > 0 and t(hi) <= 0, and the search stops once
+    hi - lo <= tol.  The answer is hi, or 0 when t(0) <= 0, and the
+    solution and slack are the target LP's optimum there.  Should rounding
+    leave t(1) > 0, the slack LP at eta = 1 is the answer.
 
-    - none: bisect, until a probe is infeasible.  Then the bracket holds the
-      threshold eta_0 of the shape and target rows, and ``_eta0_bracket``
-      narrows it to within tol on the target slack t(eta) (module
-      docstring), a search done at most once per estimate.  The slack LP
-      at its upper end, solved cold, certifies the end: slack at most tol
-      is the answer; finite slack above tol makes that end the first point
-      of the secant below; an infeasible LP (the two LPs disagree within
-      the solver tolerances) leaves the search to bisection, as does t <= 0
-      at the infeasible lower end.  The target LPs are recorded in
-      ``eta0_probes`` as (eta, t, lp_iterations);
-    - one: step 1/16 of the bracket up from lo, which either gives the
-      second point or shrinks the bracket sixteenfold;
-    - two or more: follow the secant through the last two to slack = tol,
-      kept at least tol/2 inside the bracket, so that an accurate estimate
-      is confirmed by one short step.  When the secant puts the root at or
-      past hi, step tol/2 below hi if hi's slack is above tol/2 (hi is on
-      the slope just past the root), and bisect if it is not (the secant
-      overshot into the zero-slack part, as it does where the curve
-      steepens).
+    The target LP at 0 starts cold; each later one starts HiGHS from the
+    optimal basis of the target LP before it.  Consecutive target LPs
+    differ only in the target rows' coefficients and bounds, so a few
+    pivots repair that basis.  It is used only when the row count matches,
+    which holds whenever rho > 2: no upper target row is dropped then.
+    The warm start covers one estimate only.
 
-    It also bisects whenever the last two probes together neither halved
-    the bracket nor halved lo's slack in excess of tol.
+    Only the answer's LP solution becomes a witness and is checked for
+    shape.  Next to the root, where t > 0 by round-off only, HiGHS has
+    returned optima off a monotone row by 1.4e-7.
 
-    Each slack probe after the first starts HiGHS from the optimal basis
-    of the last optimal slack probe.  Consecutive probes differ only in the
-    target rows, so a few pivots repair that basis.  It is used only when
-    the row count matches, which holds whenever rho > 2: no upper target
-    row is dropped then.  Besides the first probe, two solves start cold:
-    the first target LP, and the slack LP that certifies the end of the
-    search on t, which is far from the last slack basis.  Each later target
-    LP starts from the one before.  The warm start covers one estimate
-    only.  The next delta of a ladder starts at eta = 1, far from
-    where the last search ended, and a basis carried there needed more
-    pivots than a cold solve with presolve.
+    ``history`` lists every LP as (eta, objective, lp_iterations): the slack
+    LP at eta = 1 first, then the target LPs in the order solved.
     """
     t0 = time.perf_counter()
-    eps = problem.tol
-    history: list[tuple[float, float, int]] = []
-
-    s1, F1, it1, basis = _solve_at(problem, 1.0, method=method)
-    history.append((1.0, s1, it1))
-    if s1 > eps:
+    tol = problem.tol
+    sol, x = _solve(problem, 1.0, method)
+    history = [(1.0, sol.objective, sol.iterations)]
+    best = (1.0, x)  # the shift and LP solution of the answer
+    s1 = x[problem.grid.n_nodes]
+    if s1 > tol:
         logger.info(
             "estimate: slack %.3g persists at eta=1; ambiguity radius too tight",
             s1,
         )
-        _warn_if_shape_violated(problem, F1)
-        return EstimateResult(F1, 1.0, s1, history, [], time.perf_counter() - t0)
+    else:
+        basis = None
 
-    lo, hi = 0.0, 1.0
-    best = (1.0, s1, F1)
-    s_lo = math.inf  # slack at lo: inf while lo is 0 or infeasible
-    points: list[tuple[float, float]] = []  # probes with tol < slack < inf
-    trail = [(hi - lo, s_lo)]  # bracket width and slack at lo per probe
-    eta0_probes: list[tuple[float, float, int]] = []  # target LPs, once
+        def t_at(eta: float) -> float:
+            nonlocal basis, best
+            sol, x = _solve(problem, eta, method, target=True, basis=basis)
+            basis = sol.basis
+            history.append((eta, sol.objective, sol.iterations))
+            if sol.objective <= 0.0:
+                best = (eta, x)
+            return sol.objective
 
-    def probe(eta: float) -> None:
-        nonlocal lo, hi, best, s_lo, basis
-        try:
-            s, F, it, basis = _solve_at(problem, eta, method=method, basis=basis)
-        except ShapeInfeasibleError:
-            s, F, it = math.inf, None, 0
-        history.append((eta, s, it))
-        if s <= eps:
-            hi, best = eta, (eta, s, F)
-        else:
-            lo, s_lo = eta, s
-            if s < math.inf:
-                points.append((eta, s))
-        trail.append((hi - lo, s_lo))
-
-    while hi - lo > eps:
-        if s_lo == math.inf and lo > 0.0 and not points and not eta0_probes:
-            bracket = _eta0_bracket(problem, lo, hi, method, eta0_probes)
-            if bracket is not None:
-                lo, eta = bracket
-                if eta < hi:
-                    basis = None  # the last slack basis is far from eta_0
-                    probe(eta)
-                continue
-        probe(_next_shift(lo, hi, best[1], points, trail, eps))
-    eta_star, s_star, F_star = best
+        t_lo = t_at(0.0)
+        if t_lo > 0.0:
+            slope_bounded_search(t_at, 0.0, t_lo, 1.0, tol, 0.0)
+    eta_star = best[0]
+    s_star, F_star = _witness(problem, *best)
     _warn_if_shape_violated(problem, F_star)
-    logger.info(
-        "estimate: eta=%.8f slack=%.3g after %d LP solves (%d on the target slack)",
-        eta_star,
-        s_star,
-        len(history) + len(eta0_probes),
-        len(eta0_probes),
-    )
-    return EstimateResult(F_star, eta_star, s_star, history, eta0_probes,
-                          time.perf_counter() - t0)
-
-
-# with one point, the next probe goes this share of the bracket up from lo:
-# it either yields the second point a secant needs or shrinks the bracket
-# sixteenfold, where a bisection halves it
-_FIRST_STEP = 1.0 / 16.0
-
-
-def _next_shift(
-    lo: float, hi: float, s_hi: float, points: list, trail: list, eps: float
-) -> float:
-    """Next probe of ``estimate``'s search in the bracket (lo, hi]."""
-    mid = 0.5 * (lo + hi)
-    if len(trail) >= 3:
-        (w_old, s_old), (w_new, s_new) = trail[-3], trail[-1]
-        if w_new > 0.5 * w_old and not (
-            s_new < math.inf and s_new - eps <= 0.5 * (s_old - eps)
-        ):
-            return mid  # neither the bracket nor lo's excess slack halved
-    if not points:
-        return mid
-    if len(points) == 1:
-        return lo + _FIRST_STEP * (hi - lo)
-    (x0, s0), (x1, s1) = points[-2:]
-    slope = (s1 - s0) / (x1 - x0)
-    if not slope < 0.0:
-        return mid
-    x = x1 + (eps - s1) / slope
-    if x < hi:
-        return min(max(x, lo + 0.5 * eps), hi - 0.5 * eps)
-    # the secant puts the root at or past hi: with slack near tol there, hi
-    # sits on the slope just past the root and a short step confirms it;
-    # with slack near zero the secant overshot into the flat part
-    return hi - 0.5 * eps if s_hi > 0.5 * eps else mid
+    logger.info("estimate: eta=%.8f slack=%.3g after %d LP solves",
+                eta_star, s_star, len(history))
+    return EstimateResult(F_star, eta_star, s_star, history, time.perf_counter() - t0)
 
 
 def shape_violation(problem: EstimationProblem, F: GridFunction) -> float:

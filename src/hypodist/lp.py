@@ -27,7 +27,8 @@ that ``linprog`` would hand it, so a cold solve is the same as through
 ``linprog`` without its wrapper's per-call cost.  The optimal basis comes
 back in ``LPSolution.basis``; passed to the next ``solve`` of a model with
 the same row and column counts, it starts HiGHS there, and a warm run that
-HiGHS rejects or that ends outside the four statuses is solved again cold.
+HiGHS rejects, that needs more pivots than the model has rows and columns,
+or that ends outside the four statuses is solved again cold.
 The bindings ship with SciPy 1.15 and later; without them a HiGHS solve
 raises ``SolverError``.
 
@@ -532,7 +533,9 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
     """Solve through HiGHS; returns the solution and how the solve started.
 
     A ``basis`` whose row and column counts match the model starts a run
-    without presolve.  When HiGHS rejects it or ends outside the known
+    without presolve, limited to rows + columns iterations: a warm run that
+    needs more has lost its way, and a cold run is faster then.  When HiGHS
+    rejects the basis, stops at that limit or ends outside the known
     statuses, the model is solved cold, as without a basis: with presolve,
     then without it if presolve ends outside the known statuses."""
     try:
@@ -544,11 +547,11 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
     status, start = None, "cold"
     if basis is not None and basis[0] == shape:
         status, highs, nit, message = _run_highs(
-            core, lp, max_iterations, presolve=False, basis=basis[1]
+            core, lp, min(max_iterations, sum(shape)), presolve=False, basis=basis[1]
         )
         start = "warm"
-        if status is None:
-            start = "warm, cold retry"
+        if status in (None, "iteration_limit"):
+            status, start = None, "warm, cold retry"
             logger.debug("re-solving LP cold: %s", message)
     if status is None:
         status, highs, nit, message = _run_highs(core, lp, max_iterations, True)

@@ -71,7 +71,10 @@ def test_estimate_end_to_end(tmp_path):
     assert 0.0 <= run["eta"] <= 1.0
     assert run["slack"] <= 1e-6
     assert len(run["expected_value"]) == 2
-    assert run["history"][0]["eta"] == 1.0
+    first, *targets = run["history"]
+    assert (first["eta"], first["kind"]) == (1.0, "slack")
+    assert targets and {h["kind"] for h in targets} == {"target"}
+    assert set(first) == {"eta", "kind", "objective", "lp_iterations"}
     # the saved solution round-trips bit-exact
     sol = load_grid_function(str(out / run["files"]["solution"]))
     assert sol.monotone and sol.order == 1
@@ -151,18 +154,18 @@ def test_ladder_matches_single_delta_estimates(tmp_path):
         assert main(["estimate", "--config", str(cfg), "--out",
                      str(tmp_path / name), "--quiet"]) == 0
         (single,) = read_json(tmp_path / name / "result.json")["runs"]
-        for key in ("eta", "slack", "history", "eta0_search"):
+        for key in ("eta", "slack", "history"):
             assert run[key] == single[key], key
     by_delta = sorted(runs, key=lambda r: -r["delta"])
     etas = [r["eta"] for r in by_delta]
     assert all(b >= a for a, b in zip(etas, etas[1:])), etas
 
 
-def test_generated_two_uniforms_ladder_runs(tmp_path):
-    # the README quickstart at its 50x50 demo size, in a subprocess, because
-    # a solver crash would take the interpreter with it; the slack curves of
-    # the two uniforms reach zero at eta = 1 - delta, and delta 1e-4
-    # saturates at eta = 1
+def run_generated_two_uniforms_ladder(tmp_path, cells=None):
+    """The generated two-uniforms ladder, at ``cells`` per axis if given, in
+    a subprocess, because a solver crash would take the interpreter with
+    it.  The slack curves of the two uniforms reach zero at eta = 1 - delta,
+    and delta 1e-4 saturates at eta = 1."""
     import subprocess
     import sys
 
@@ -173,6 +176,9 @@ def test_generated_two_uniforms_ladder_runs(tmp_path):
     assert main(["generate", "two-uniforms", "--out", str(tmp_path),
                  "--quiet"]) == 0
     cfg = read_json(tmp_path / "two_uniforms_estimate.json")
+    if cells is not None:
+        cfg["grid"]["cells_per_axis"] = [cells, cells]
+        write_json(tmp_path / "two_uniforms_estimate.json", cfg)
     run = subprocess.run(
         [sys.executable, "-m", "hypodist.cli", "estimate", "--config",
          str(tmp_path / "two_uniforms_estimate.json"), "--out",
@@ -187,6 +193,16 @@ def test_generated_two_uniforms_ladder_runs(tmp_path):
     for delta in (0.7, 0.4, 0.1):
         assert abs(etas[delta] - (1.0 - delta)) <= 10 * cfg["tol"], delta
     assert etas[1e-4] == 1.0
+
+
+def test_generated_two_uniforms_ladder_runs(tmp_path):
+    # the README quickstart at its 50x50 demo size
+    run_generated_two_uniforms_ladder(tmp_path)
+
+
+def test_generated_two_uniforms_ladder_runs_at_60_cells(tmp_path):
+    # the size at which a warm slack LP next to its root crashed HiGHS
+    run_generated_two_uniforms_ladder(tmp_path, cells=60)
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):

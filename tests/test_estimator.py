@@ -91,18 +91,22 @@ def test_growth_rows_counted_once_per_edge():
     assert counts["growth"] == 16
 
 
-def reference_lp(problem, eta):
+def reference_lp(problem, eta, target=False):
     """Row-by-row build of the estimation LP in its documented row order:
     monotone rows axis by axis, distribution rows, growth rows (axis-0
     edges, axis-1 edges, diagonals), then per anchor each cell's lower row
     followed by its upper row when kept.  A lower row leaves out the
-    interpolation weights of magnitude at most 1e-9, round-off included."""
+    interpolation weights of magnitude at most 1e-9, round-off included.
+    The target LP caps the slack s at tol and relaxes the target rows by a
+    free last variable t."""
     grid, shape, rho = problem.grid, problem.shape, problem.rho
     dims, m, n = grid.shape, grid.dim, grid.n_nodes
     rows, counts = [], dict.fromkeys(
         ["monotone", "distribution", "growth", "target_lower", "target_upper",
          "ambiguity_lower", "ambiguity_upper"], 0)
     counts["slack_index"] = s = n
+    if target:
+        counts["target_index"] = n + 1
 
     def add(group, idx, cf, sense, rhs):
         rows.append((idx, cf, sense, float(rhs)))
@@ -111,9 +115,11 @@ def reference_lp(problem, eta):
     def node(*multi):
         return int(np.ravel_multi_index(multi, dims))
 
-    lower = np.zeros(n + 1)
-    upper = np.ones(n + 1)
-    upper[-1] = np.inf
+    lower = np.zeros(n + 1 + target)
+    upper = np.ones(n + 1 + target)
+    upper[n] = problem.tol if target else np.inf
+    if target:
+        lower[-1], upper[-1] = -np.inf, np.inf
     for j, x in enumerate(grid.node_lattice()):
         if shape.boundary_zero and np.any(x == grid.domain.lower):
             upper[j] = 0.0
@@ -152,13 +158,13 @@ def reference_lp(problem, eta):
                     L * max(h[0][i], h[1][j]))
 
     lower_pts, upper_pts = grid.cell_bounds()
-    for anchor, r, slack, tag in ((problem.F0, eta, False, "target"),
-                                  (problem.G0, problem.delta, True, "ambiguity")):
+    for anchor, r, relax, tag in ((problem.F0, eta, n + 1 if target else None, "target"),
+                                  (problem.G0, problem.delta, s, "ambiguity")):
         probe = np.clip(lower_pts + r, grid.domain.lower, grid.domain.upper)
         w_nodes, w_vals = interpolation_weights(grid, probe)
         at_u = np.atleast_1d(anchor.eval(upper_pts))
         at_probe = np.atleast_1d(anchor.eval(probe))
-        extra_idx, extra_cf = ([s], [1.0]) if slack else ([], [])
+        extra_idx, extra_cf = ([relax], [1.0]) if relax is not None else ([], [])
         for k, c in enumerate(cells):
             nz = np.abs(w_vals[k]) > 1e-9  # zero and round-off weights are left out
             add(f"{tag}_lower", list(w_nodes[k][nz]) + extra_idx,
@@ -202,19 +208,21 @@ def _equivalence_cases():
                                                  "equal-widths"])
 def test_assembly_matches_row_by_row_reference(case):
     problem, eta = _equivalence_cases()[case]
-    rows, (lower, upper), ref_counts = reference_lp(problem, eta)
-    model, counts = assemble_lp(problem, eta)
-    row_ptr, idx, cf, codes, rhs = model.row_arrays()
-    assert np.array_equal(row_ptr, np.cumsum([0] + [len(r[0]) for r in rows]))
-    assert np.array_equal(idx, np.concatenate([r[0] for r in rows]).astype(np.int64))
-    assert np.array_equal(cf, np.concatenate([r[1] for r in rows]))
-    assert [SENSES[c] for c in codes] == [r[2] for r in rows]
-    assert np.array_equal(rhs, [r[3] for r in rows])
-    lo, hi = model.bounds
-    assert np.array_equal(lo, lower) and np.array_equal(hi, upper)
-    assert counts == ref_counts
-    assert model.objective.tolist() == [0.0] * problem.grid.n_nodes + [1.0]
-    assert [r.indices.tolist() for r in model.rows()] == [list(r[0]) for r in rows]
+    for target in (False, True):
+        rows, (lower, upper), ref_counts = reference_lp(problem, eta, target)
+        model, counts = assemble_lp(problem, eta, target=target)
+        row_ptr, idx, cf, codes, rhs = model.row_arrays()
+        assert np.array_equal(row_ptr, np.cumsum([0] + [len(r[0]) for r in rows]))
+        assert np.array_equal(idx, np.concatenate([r[0] for r in rows]).astype(np.int64))
+        assert np.array_equal(cf, np.concatenate([r[1] for r in rows]))
+        assert [SENSES[c] for c in codes] == [r[2] for r in rows]
+        assert np.array_equal(rhs, [r[3] for r in rows])
+        lo, hi = model.bounds
+        assert np.array_equal(lo, lower) and np.array_equal(hi, upper)
+        assert counts == ref_counts
+        objective = [0.0, 1.0] if target else [1.0]
+        assert model.objective.tolist() == [0.0] * problem.grid.n_nodes + objective
+        assert [r.indices.tolist() for r in model.rows()] == [list(r[0]) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +251,7 @@ def test_estimate_two_uniforms_small(two_uniforms_10):
     assert res.slack <= 1e-6
     ev = expected_value(res.solution, neg_tol=1e-6)
     assert np.all(ev > 1.0) and np.all(ev < 1.6)  # pulled toward the anchor
-    # history records the eta=1 probe first, then the bisection path
+    # history records the slack LP at eta=1 first, then the target LPs
     assert res.history[0][0] == 1.0
     assert res.wall_time > 0
     assert shape_violation(prob, res.solution) <= 1e-8
@@ -452,43 +460,45 @@ def test_search_matches_reference_bisection_on_random_pairs(seed, cells, share):
     assert abs(estimate(prob).eta - reference_bisection(prob)) <= prob.tol
 
 
+def assert_target_chain(res, tol):
+    """The LPs of an estimate that reached the target search: the slack LP
+    at eta = 1, the target LP at 0 with t > 0, then a bracket whose upper
+    end, the answer, is the least probe with t <= 0 and lies within tol of
+    the greatest probe with t > 0."""
+    (eta1, _, _), (eta0, t0, _), *rest = res.history
+    assert (eta1, eta0) == (1.0, 0.0) and t0 > 0.0
+    targets = res.history[1:]
+    assert res.eta == min(eta for eta, t, _ in targets if t <= 0.0)
+    assert res.eta - max(eta for eta, t, _ in targets if t > 0.0) <= tol
+
+
 def test_search_probe_count(two_uniforms_10):
-    # the slack curve at delta 0.7 is linear above eta_0; plain bisection
-    # takes 28 probes to reach the default tol 1e-8
-    res = estimate(EstimationProblem(*two_uniforms_10, 0.7))
-    assert len(res.history) <= 12
+    # the target slack at delta 0.7 falls linearly to its root 0.3: plain
+    # bisection takes 28 LP solves to reach the default tol 1e-8
+    prob = EstimationProblem(*two_uniforms_10, 0.7)
+    res = estimate(prob)
+    assert_target_chain(res, prob.tol)
+    assert len(res.history) <= 10
 
 
 def test_eta0_search_probe_count(two_uniforms_10):
     # delta 1.0 stops at eta_0, where the slack jumps from infeasible to zero;
-    # bisecting across that jump took 28 LP solves
-    res = estimate(EstimationProblem(*two_uniforms_10, 1.0))
-    assert res.eta0_probes and res.eta0_probes[0][1] > 0.0
-    assert len(res.history) + len(res.eta0_probes) <= 14
-
-
-@pytest.mark.parametrize("case", ["disagrees-at-lo", "infeasible-at-hi"])
-def test_eta0_search_falls_back_to_bisection(two_uniforms_10, monkeypatch, case):
-    # a target slack that reads t <= 0 where the slack LP is infeasible, or
-    # that ends the search below eta_0, sends the search back to bisection
-    from hypodist import estimator
-
-    target_slack = estimator._target_slack
-
-    def biased(*args, **kwargs):
-        t, it, basis = target_slack(*args, **kwargs)
-        return (-1.0 if case == "disagrees-at-lo" else t - 0.01), it, basis
-
-    monkeypatch.setattr(estimator, "_target_slack", biased)
+    # bisecting across that jump took 28 LP solves, the slack secant with a
+    # separate eta_0 search 13
     prob = EstimationProblem(*two_uniforms_10, 1.0)
     res = estimate(prob)
-    assert abs(res.eta - reference_bisection(prob)) <= prob.tol
-    if case == "disagrees-at-lo":
-        assert len(res.eta0_probes) == 1  # no search from a lo with t <= 0
-    else:
-        # the slack LP at the search's upper end is infeasible
-        searched = {eta for eta, _, _ in res.eta0_probes}
-        assert any(eta in searched and s == math.inf for eta, s, _ in res.history)
+    assert_target_chain(res, prob.tol)
+    assert len(res.history) <= 12
+
+
+def target_slack(problem, eta):
+    """t(eta) from a cold solve of the target LP, or None when it is
+    infeasible."""
+    from hypodist import lp
+
+    sol = lp.solve(assemble_lp(problem, eta, target=True)[0])
+    assert sol.status in ("optimal", "infeasible")
+    return sol.objective if sol.ok else None
 
 
 @settings(max_examples=30, deadline=None)
@@ -497,64 +507,71 @@ def test_eta0_search_falls_back_to_bisection(two_uniforms_10, monkeypatch, case)
     cells=st.tuples(st.integers(1, 4), st.integers(1, 4)),
     eta=st.floats(0.0, 1.0),
     share=st.floats(0.0, 1.0),
+    later_share=st.floats(0.0, 1.0),
 )
-def test_target_slack_sign_and_slope(seed, cells, eta, share):
-    # t > 0 exactly where the slack LP is infeasible, and t falls with slope
-    # at most -1 in eta
-    from hypodist.estimator import _target_slack
+def test_target_slack_sign_and_slope(seed, cells, eta, share, later_share):
+    # t > 0 where the least slack exceeds tol (or the slack LP is infeasible),
+    # t < 0 where it is at most tol, and t falls with slope at most -1 in eta;
+    # the target LP is infeasible only when no shift brings the slack to tol
     from tests.conftest import random_monotone
 
     rng = np.random.default_rng(seed)
     g = build_grid(Domain([0.0, 0.0], [1.0, 1.0]), [c + 1 for c in cells])
     F0, G0 = (random_monotone(rng, g) for _ in range(2))
-    prob = EstimationProblem(F0, G0, 0.5)
-    t = _target_slack(prob, eta, method="auto")[0]
+    delta = share * eta_plus(F0, G0, EstimationProblem(F0, G0, 0.0).rho)
+    prob = EstimationProblem(F0, G0, delta)
+    t = target_slack(prob, eta)
+    if t is None:
+        assert min_slack(prob, 1.0)[0] > prob.tol
+        return
     if t > 1e-9:
-        with pytest.raises(ShapeInfeasibleError):
-            min_slack(prob, eta)
+        try:
+            assert min_slack(prob, eta)[0] > prob.tol
+        except ShapeInfeasibleError:
+            pass
     elif t < -1e-9:
-        min_slack(prob, eta)
-    later = min(eta + share * (1.0 - eta), 1.0)
-    assert _target_slack(prob, later, method="auto")[0] <= t - (later - eta) + 1e-9
+        assert min_slack(prob, eta)[0] <= prob.tol + 1e-9
+    later = min(eta + later_share * (1.0 - eta), 1.0)
+    assert target_slack(prob, later) <= t - (later - eta) + 1e-9
 
 
 def test_warm_probe_sequence_matches_cold_solves(two_uniforms_10, caplog):
-    # the probes of one estimate, each started from the last optimal
-    # probe's basis, reach the same least slack as cold solves
+    # the target LPs of one estimate, each after the first started from the
+    # basis of the one before, reach the same t as cold solves
     from hypodist import lp
 
-    prob = EstimationProblem(*two_uniforms_10, 0.4)
+    prob = EstimationProblem(*two_uniforms_10, 0.7)
     with caplog.at_level("DEBUG", logger="hypodist.lp"):
-        etas = [h[0] for h in estimate(prob).history]
-    # rho > 2 here, so every probe after the first can start warm
+        etas = [h[0] for h in estimate(prob).history[1:]]
+    # rho > 2 here, so every target LP after the first can start warm
     assert caplog.text.count("start=warm\n") == len(etas) - 1
     caplog.clear()
     basis, warm_its, cold_its = None, 0, 0
     with caplog.at_level("DEBUG", logger="hypodist.lp"):
         for eta in etas:
-            model, _ = assemble_lp(prob, eta)
+            model, _ = assemble_lp(prob, eta, target=True)
             cold = lp.solve(model)
             warm = lp.solve(model, basis=basis)
-            assert warm.status == cold.status
-            if cold.ok:
-                assert abs(warm.objective - cold.objective) <= 1e-9
-                basis = warm.basis
+            assert warm.ok and cold.ok
+            assert abs(warm.objective - cold.objective) <= 1e-9
+            basis = warm.basis
             warm_its += warm.iterations
             cold_its += cold.iterations
-    assert caplog.text.count("start=warm\n") >= len(etas) - 2
+    assert caplog.text.count("start=warm\n") == len(etas) - 1
     assert warm_its < cold_its
 
 
 _WARM_CHAIN = """
-from hypodist import EstimationProblem, build_grid, realize, two_uniforms_scenario
-from hypodist.estimator import _solve_at
+from hypodist import EstimationProblem, build_grid, lp, realize, two_uniforms_scenario
+from hypodist.estimator import assemble_lp
 
 sc = two_uniforms_scenario(cells_per_axis=50)
 g = build_grid(sc.domain, 51)
 prob = EstimationProblem(realize(sc.F0, g), realize(sc.G0, g), 0.4)
 basis = None
 for eta in (1.0, 0.29999998500000224, 0.3437499859375021, 0.5999999900000164):
-    basis = _solve_at(prob, eta, method="auto", basis=basis)[3]
+    model, _ = assemble_lp(prob, eta)
+    basis = lp.solve(model, max_iterations=200_000, basis=basis).basis
 """
 
 

@@ -286,3 +286,29 @@ def test_failed_warm_solve_falls_back_to_cold(monkeypatch, caplog):
         b is not None for b in bases)
     for a, b in zip(cold, retried):
         assert same_solution(a, b)
+
+
+def test_warm_run_at_its_budget_falls_back_to_cold(monkeypatch, caplog):
+    # a warm run may take rows + columns iterations; one that stops there is
+    # re-solved cold, with the cold solve's status and objective
+    from hypodist import lp
+
+    models = random_models(61)
+    bases = [solve(m).basis for m in models]
+    cold = [solve(m) for m in models]
+    run_highs, budgets = lp._run_highs, []
+
+    def stalls_warm(core, model, max_iterations, presolve, basis=None):
+        if basis is None:
+            return run_highs(core, model, max_iterations, presolve)
+        budgets.append(max_iterations)
+        return "iteration_limit", None, max_iterations, "Iteration limit reached"
+
+    monkeypatch.setattr(lp, "_run_highs", stalls_warm)
+    with caplog.at_level("DEBUG", logger="hypodist.lp"):
+        retried = [solve(m, basis=b) for m, b in zip(models, bases)]
+    warm = [m for m, b in zip(models, bases) if b is not None]
+    assert warm and budgets == [m.n_constraints + m.n_variables for m in warm]
+    assert caplog.text.count("start=warm, cold retry") == len(warm)
+    for a, b in zip(cold, retried):
+        assert same_solution(a, b)
