@@ -46,6 +46,7 @@ from .functions import GridFunction, _axis_increments, cell_masses, resample
 from .grid import Grid, _vertex_signs, corner_bits, interpolation_weights, refine
 from .metrics import (
     DistanceReport,
+    _require_unit_range,
     default_rho,
     hypo_dist_estimate,
     slope_bounded_search,
@@ -126,11 +127,8 @@ class EstimationProblem:
             raise ValueError("F0 and G0 must be order-1 (node-valued) functions")
         if not (F0.monotone and G0.monotone):
             raise ValueError("F0 and G0 must carry the monotone flag")
-        for name, f in (("F0", F0), ("G0", G0)):
-            vmin, vmax = float(np.min(f.values)), float(np.max(f.values))
-            if vmin < -1e-9 or vmax > 1.0 + 1e-9:
-                raise ValueError(f"{name} must take values in [0, 1], got "
-                                 f"[{vmin:.3g}, {vmax:.3g}]")
+        _require_unit_range(F0, "F0")
+        _require_unit_range(G0, "G0")
         if not (delta >= 0 and math.isfinite(delta)):
             raise ValueError(f"delta must be a finite nonnegative radius, got {delta}")
         rho_val = default_rho(F0.grid.domain) if rho is None else float(rho)

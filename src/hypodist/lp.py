@@ -17,20 +17,19 @@ summed wherever the matrix is read.  The model, its dense view and
 ``solve`` dispatches to either the bundled bounded-variable two-phase primal
 simplex (dense, numpy-only, meant for small and medium problems and as a
 reference implementation) or to HiGHS through SciPy (sparse, fast, used for
-the large estimation programs; the row blocks go to it without a per-row
-pass).  Both report one of the statuses "optimal", "infeasible", "unbounded"
-or "iteration_limit".
+the large estimation programs).  Both report one of the statuses "optimal",
+"infeasible", "unbounded" or "iteration_limit".
 
 HiGHS is called directly through SciPy's private bindings
-(``scipy.optimize._highspy._core``), with the matrix, bounds and options
-that ``linprog`` would hand it, so a cold solve is the same as through
-``linprog`` without its wrapper's per-call cost.  The optimal basis comes
-back in ``LPSolution.basis``; passed to the next ``solve`` of a model with
-the same row and column counts, it starts HiGHS there, and a warm run that
-HiGHS rejects, that needs more pivots than the model has rows and columns,
-or that ends outside the four statuses is solved again cold.
-The bindings ship with SciPy 1.15 and later; without them a HiGHS solve
-raises ``SolverError``.
+(``scipy.optimize._highspy._core``), with the model's rows as they are
+(``_highs_lp``), so HiGHS row i is model row i, in the basis too.  The
+optimal basis comes back in ``LPSolution.basis``; passed to the next
+``solve`` of a model with the same row and column counts, it starts HiGHS
+there, and a warm run that HiGHS rejects, that needs more pivots than the
+model has rows and columns, or that ends outside the four statuses is
+solved again cold.  A model that HiGHS rejects raises ``SolverError``, and
+so does a HiGHS solve without the bindings, which ship with SciPy 1.15 and
+later.
 
 The simplex keeps nonbasic variables at finite bounds, prices with Dantzig's
 rule and falls back to Bland's rule after a run of degenerate pivots, so it
@@ -457,56 +456,41 @@ class SolverError(RuntimeError):
 
 # -- HiGHS adapter ----------------------------------------------------------------
 
-# HiGHS model statuses, mapped as linprog maps them (it reports a model error
-# as infeasible); any other status is unknown and sends the solve to a retry
+# HiGHS model statuses that end a run; any other status, a model error
+# included, is unknown and sends the solve to a retry
 _HIGHS_STATUS = {
     "kOptimal": "optimal",
     "kIterationLimit": "iteration_limit",
     "kTimeLimit": "iteration_limit",
     "kInfeasible": "infeasible",
-    "kModelError": "infeasible",
     "kUnbounded": "unbounded",
 }
 
 
-def _highs_lp(core, model: LPModel):
-    """The model as a HiGHS LP, built exactly as linprog builds it: ">="
-    rows negated into "<=" rows, inequality rows before equality rows, and
-    a column-wise matrix made through COO, so duplicate entries are summed.
-    The vectors go in as lists, which the bindings copy about twice as fast
-    as arrays, to the same values."""
+def _highs_lp(core, model: LPModel) -> tuple:
+    """The arguments of HiGHS's ``passModel`` for the model: its rows in
+    model order, row-wise, with each sense as row bounds ("<=" gives
+    (-inf, b], ">=" gives [b, inf), "==" gives [b, b]), and duplicate
+    entries within a row summed on a copy, since HiGHS rejects them."""
     import scipy.sparse as sp
 
     row_ptr, idx, cf, codes, b = model.row_arrays()
-    lengths = np.diff(row_ptr)
-    sign = np.where(codes == SENSES.index(">="), -1.0, 1.0)
-    is_eq = codes == SENSES.index("==")
-    order = np.argsort(is_eq, kind="stable")
-    entries = np.argsort(np.repeat(is_eq, lengths), kind="stable")
-    rows = np.repeat(np.arange(order.size), lengths[order])
-    signed = np.repeat(sign, lengths) * cf
-    csc = sp.coo_array((signed[entries], (rows, idx[entries])),
-                       shape=(order.size, model.n_variables)).tocsc()
-    n_ub, rhs = int(np.count_nonzero(~is_eq)), (sign * b)[order]
+    m, n = model.n_constraints, model.n_variables
+    a = sp.csr_array((cf, idx, row_ptr), shape=(m, n), copy=True)
+    a.sum_duplicates()
     lower, upper = model.bounds
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_variables
-    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = csc.indptr.tolist()
-    lp.a_matrix_.index_ = csc.indices.tolist()
-    lp.a_matrix_.value_ = csc.data.tolist()
-    lp.col_cost_ = model.objective.tolist()
-    lp.col_lower_, lp.col_upper_ = lower.tolist(), upper.tolist()
-    lp.row_lower_ = [-math.inf] * n_ub + rhs[n_ub:].tolist()
-    lp.row_upper_ = rhs.tolist()
-    return lp
+    return (n, m, a.nnz, int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize),
+            0.0, model.objective, lower, upper,
+            np.where(codes == SENSES.index("<="), -math.inf, b),
+            np.where(codes == SENSES.index(">="), math.inf, b),
+            a.indptr, a.indices, a.data, np.zeros(n, np.int32))
 
 
 def _run_highs(core, lp, max_iterations: int, presolve: bool, basis=None):
-    """One HiGHS run of ``lp`` with linprog's options, from ``basis`` when
-    one is given.  Returns (status, solver, iterations, message); the status
-    is None when HiGHS rejects the basis or ends outside the known ones."""
+    """One HiGHS run of ``lp`` (``_highs_lp``'s arguments), from ``basis``
+    when one is given.  Returns (status, solver, iterations, message); the
+    status is None when HiGHS rejects the basis or ends outside the known
+    ones.  A model that HiGHS rejects raises ``SolverError``."""
     options = core.HighsOptions()
     options.presolve = "on" if presolve else "off"
     options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
@@ -518,8 +502,8 @@ def _run_highs(core, lp, max_iterations: int, presolve: bool, basis=None):
     highs = core._Highs()
     error = core.HighsStatus.kError
     highs.passOptions(options)
-    if highs.passModel(lp) == error:
-        return "infeasible", highs, 0, "model error"  # as linprog reports it
+    if highs.passModel(*lp) == error:
+        raise SolverError("LP backend failed: HiGHS rejected the model")
     if basis is not None and highs.setBasis(basis) == error:
         return None, highs, 0, "basis rejected"
     ran = highs.run() != error

@@ -251,12 +251,12 @@ def test_iteration_limit_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "failure", ["status", "backend", "no-bindings", "non-monotone"]
+    "failure", ["status", "backend", "model-error", "no-bindings", "non-monotone"]
 )
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
     # an LP status the estimator cannot use, a backend that gives up, a
-    # SciPy without the HiGHS bindings, and a solution that is not monotone
-    # all exit 4 with one line, not a traceback
+    # model that HiGHS rejects, a SciPy without the HiGHS bindings, and a
+    # solution that is not monotone all exit 4 with one line, not a traceback
     import sys
 
     import scipy.optimize._highspy._core as core
@@ -279,6 +279,12 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
                 return core.HighsStatus.kError
 
         monkeypatch.setattr(core, "_Highs", FailingHighs)
+    elif failure == "model-error":
+        class RejectingHighs(core._Highs):
+            def passModel(self, *args):
+                return core.HighsStatus.kError
+
+        monkeypatch.setattr(core, "_Highs", RejectingHighs)
     elif failure == "no-bindings":
         monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     else:

@@ -575,15 +575,14 @@ for eta in (1.0, 0.29999998500000224, 0.3437499859375021, 0.5999999900000164):
 """
 
 
-@pytest.mark.xfail(strict=False, reason=(
-    "ROADMAP item 1: HiGHS in SciPy 1.17.1 dies with SIGSEGV on the "
-    "fourth probe of this warm chain"))
 def test_warm_probe_chain_at_50_cells_survives():
     # the probes that an estimate at delta 0.4 started from the shift 0.3
     # makes on the 50x50 demo problem, each started from the basis of the
     # one before; the CLI no longer makes this chain, since each delta of
-    # a ladder starts at eta = 1.  In a subprocess, because the crash takes
-    # the interpreter with it
+    # a ladder starts at eta = 1.  HiGHS in SciPy 1.17.1 died with SIGSEGV
+    # on the fourth probe when it got the rows negated and reordered (see
+    # ROADMAP item 1).  In a subprocess, because such a crash takes the
+    # interpreter with it
     import os
     import subprocess
     import sys

@@ -221,6 +221,18 @@ def test_missing_bindings_raise_solver_error(monkeypatch):
     assert solve(two_var_model(), method="simplex").ok
 
 
+def test_highs_sums_duplicates_on_a_copy():
+    # the last row of this model has index 0 twice, after index 1: HiGHS
+    # gets it summed, the model keeps its entries as they were, and a
+    # second cold solve returns the first one's solution
+    m = random_models(53)[1]
+    before = [a.copy() for a in m.row_arrays()]
+    first, second = solve(m), solve(m)
+    assert all(np.array_equal(a, b) for a, b in zip(before, m.row_arrays()))
+    assert first.ok and same_solution(first, second)
+    assert first.objective == pytest.approx(solve(m, method="simplex").objective, abs=1e-9)
+
+
 def test_basis_is_returned_and_reused():
     m, _ = random_feasible_lp(np.random.default_rng(41), 9, 8)
     cold = solve(m)
