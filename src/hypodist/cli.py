@@ -292,7 +292,6 @@ _COMMON_KEYS = {
     "tol",
     "seed",
     "out_dir",
-    "lp_method",
 }
 
 # one schema for the whole config family: a key is "unknown" only when no
@@ -316,12 +315,13 @@ def _parse_common(cfg: dict, path: str):
     rho = None
     if cfg.get("rho") is not None:
         rho = _number(cfg["rho"], "$.rho")
+        if not (rho > 0 and math.isfinite(rho)):
+            _fail("$.rho", f"must be positive and finite, got {rho}")
     shape = _parse_shape(cfg.get("shape", {}), "$.shape")
     tol = _number(cfg.get("tol", 1e-8), "$.tol")
-    lp_method = cfg.get("lp_method", "auto")
-    if lp_method not in ("auto", "simplex", "highs"):
-        _fail("$.lp_method", f"must be auto|simplex|highs, got {lp_method!r}")
-    return domain, grid, F0, G0, rho, shape, tol, lp_method
+    if not (0 < tol < 1):
+        _fail("$.tol", f"must be in (0, 1), got {tol}")
+    return domain, grid, F0, G0, rho, shape, tol
 
 
 def _radii_and_samples(cfg: dict, domain: Domain, rho) -> tuple[list, int]:
@@ -332,8 +332,9 @@ def _radii_and_samples(cfg: dict, domain: Domain, rho) -> tuple[list, int]:
         if "rho_values" in cfg
         else [rho if rho is not None else default_rho(domain)]
     )
-    if any(r <= 0 for r in rho_values):
-        _fail("$.rho_values", f"radii must be positive, got {rho_values}")
+    if not rho_values or not all(r > 0 and math.isfinite(r) for r in rho_values):
+        _fail("$.rho_values",
+              f"must be a non-empty list of positive finite radii, got {rho_values}")
     samples = cfg.get("oracle_samples", 9)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         _fail("$.oracle_samples", f"must be an integer >= 2, got {samples!r}")
@@ -418,9 +419,7 @@ def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid",
                                       "F0", "G0", "delta"})
-    domain, grid, F0, G0, rho, shape, tol, lp_method = _parse_common(
-        cfg, args.config
-    )
+    domain, grid, F0, G0, rho, shape, tol = _parse_common(cfg, args.config)
     deltas = _deltas(cfg)
     out = _out_dir(args, cfg)
 
@@ -428,7 +427,7 @@ def cmd_estimate(args) -> int:
     total_time = 0.0
     for delta in deltas:
         problem = _make_problem(F0, G0, delta, rho, shape, tol)
-        result = estimate(problem, method=lp_method)
+        result = estimate(problem)
         total_time += result.wall_time
         suffix = "" if len(deltas) == 1 else f"_delta_{delta:g}"
         sol_path = os.path.join(out, f"solution{suffix}.csv")
@@ -469,7 +468,6 @@ def cmd_estimate(args) -> int:
         "command": "estimate",
         "rho": problem.rho,
         "tol": tol,
-        "lp_method": lp_method,
         "grid": grid.to_json_obj(),
         "runs": runs,
         "timings": {"total_wall_time": total_time},
@@ -482,7 +480,7 @@ def cmd_distance(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid",
                                       "F0", "G0"})
-    domain, grid, F0, G0, rho, _shape, tol, _m = _parse_common(cfg, args.config)
+    domain, grid, F0, G0, rho, _shape, tol = _parse_common(cfg, args.config)
     rho_values, samples = _radii_and_samples(cfg, domain, rho)
     quad_points = _positive_int(cfg, "quad_points", 32)
     out = _out_dir(args, cfg)
@@ -534,9 +532,7 @@ def cmd_study(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid", "F0",
                                       "G0", "delta", "refinement_factors"})
-    domain, grid, F0, G0, rho, shape, tol, lp_method = _parse_common(
-        cfg, args.config
-    )
+    domain, grid, F0, G0, rho, shape, tol = _parse_common(cfg, args.config)
     deltas = _deltas(cfg)
     if len(deltas) != 1:
         _fail("$.delta", "a study takes a single delta, not a ladder")
@@ -550,9 +546,7 @@ def cmd_study(args) -> int:
     out = _out_dir(args, cfg)
 
     problem = _make_problem(F0, G0, deltas[0], rho, shape, tol)
-    report = refinement_study(
-        problem, factors, method=lp_method, quad_points=quad_points
-    )
+    report = refinement_study(problem, factors, quad_points=quad_points)
 
     def validate_level(item) -> dict:
         factor, result = item
@@ -607,7 +601,7 @@ def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid",
                                       "F0", "G0"})
-    domain, grid, F0, G0, rho, _shape, tol, _m = _parse_common(cfg, args.config)
+    domain, grid, F0, G0, rho, _shape, tol = _parse_common(cfg, args.config)
     rho_values, samples = _radii_and_samples(cfg, domain, rho)
     budget = _positive_int(cfg, "rect_budget", 200_000)
     out = _out_dir(args, cfg)

@@ -314,20 +314,16 @@ def assemble_lp(
 _SMALL_WEIGHT = 1e-9
 
 
-# simplex iteration budget of every LP solve
-_MAX_ITERATIONS = 200_000
-
-
 def _solve(
-    problem: EstimationProblem, eta: float, method: str, *, target: bool = False,
-    basis=None,
+    problem: EstimationProblem, eta: float, *, target: bool = False, basis=None,
 ) -> tuple[lp.LPSolution, np.ndarray]:
-    """Solve ``assemble_lp``'s LP at shift eta, from ``basis`` when it fits.
+    """Solve ``assemble_lp``'s LP at shift eta with HiGHS, from ``basis``
+    when it fits.
 
     Returns the solution and its x clipped to the variable bounds.  Raises
-    unless HiGHS (or the simplex) reports an optimum."""
+    unless HiGHS reports an optimum."""
     model, _ = assemble_lp(problem, eta, target=target)
-    sol = lp.solve(model, method=method, max_iterations=_MAX_ITERATIONS, basis=basis)
+    sol = lp.solve(model, basis=basis)
     if sol.status == "infeasible":
         raise ShapeInfeasibleError(
             f"constraint system infeasible at shift eta={eta:.6g} "
@@ -358,25 +354,16 @@ def _witness(
     return float(x[n]), F
 
 
-def min_slack(
-    problem: EstimationProblem,
-    eta: float,
-    *,
-    method: str = "auto",
-) -> tuple[float, GridFunction]:
+def min_slack(problem: EstimationProblem, eta: float) -> tuple[float, GridFunction]:
     """Least ambiguity slack at a fixed shift eta, with its witness function.
 
     Raises ShapeInfeasibleError when no function satisfies the constraint
     system at this shift (possible at small eta, where the target rows
     contradict each other or the shape rows)."""
-    return _witness(problem, eta, _solve(problem, eta, method)[1])
+    return _witness(problem, eta, _solve(problem, eta)[1])
 
 
-def estimate(
-    problem: EstimationProblem,
-    *,
-    method: str = "auto",
-) -> EstimateResult:
+def estimate(problem: EstimationProblem) -> EstimateResult:
     """Smallest shift eta whose minimal ambiguity slack is at most tol
     (within tol), or eta = 1 with the positive residual slack when the
     ambiguity ball is too tight for the shape constraints.
@@ -406,7 +393,7 @@ def estimate(
     """
     t0 = time.perf_counter()
     tol = problem.tol
-    sol, x = _solve(problem, 1.0, method)
+    sol, x = _solve(problem, 1.0)
     history = [(1.0, sol.objective, sol.iterations)]
     best = (1.0, x)  # the shift and LP solution of the answer
     s1 = x[problem.grid.n_nodes]
@@ -420,7 +407,7 @@ def estimate(
 
         def t_at(eta: float) -> float:
             nonlocal basis, best
-            sol, x = _solve(problem, eta, method, target=True, basis=basis)
+            sol, x = _solve(problem, eta, target=True, basis=basis)
             basis = sol.basis
             history.append((eta, sol.objective, sol.iterations))
             if sol.objective <= 0.0:
@@ -470,7 +457,6 @@ def refinement_study(
     problem: EstimationProblem,
     factors,
     *,
-    method: str = "auto",
     quad_points: int = 32,
 ) -> RefinementReport:
     """Re-estimate on nested refinements and track how solutions settle.
@@ -501,7 +487,7 @@ def refinement_study(
             shape=problem.shape,
             tol=problem.tol,
         )
-        results.append(estimate(sub, method=method))
+        results.append(estimate(sub))
         grids.append(g)
         logger.info(
             "refinement factor %d: eta=%.6f slack=%.3g",

@@ -83,11 +83,11 @@ class Domain:
         """Diameter of S under the max-norm."""
         return float(np.max(self.upper - self.lower))
 
-    def contains(self, x: np.ndarray, *, atol: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             return False
-        return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Domain):

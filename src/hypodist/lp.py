@@ -1,4 +1,4 @@
-"""Linear programming: a small model container and two interchangeable solvers.
+"""Linear programming: a small model container, HiGHS and a reference simplex.
 
 Problems are stated as
 
@@ -14,11 +14,11 @@ pointers, and ``add_constraint`` is its one-row form.  Duplicate indices within 
 summed wherever the matrix is read.  The model, its dense view and
 ``constraint_residuals`` need numpy only.
 
-``solve`` dispatches to either the bundled bounded-variable two-phase primal
-simplex (dense, numpy-only, meant for small and medium problems and as a
-reference implementation) or to HiGHS through SciPy (sparse, fast, used for
-the large estimation programs).  Both report one of the statuses "optimal",
-"infeasible", "unbounded" or "iteration_limit".
+``solve`` runs HiGHS through SciPy (sparse and fast; every estimation LP
+goes there) or, on request, the bundled bounded-variable two-phase primal
+simplex (dense, numpy-only, a reference implementation for small problems
+that the tests cross-check HiGHS against).  Both report one of the statuses
+"optimal", "infeasible", "unbounded" or "iteration_limit".
 
 HiGHS is called directly through SciPy's private bindings
 (``scipy.optimize._highspy._core``), with the model's rows as they are
@@ -556,19 +556,19 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
 def solve(
     model: LPModel,
     *,
-    max_iterations: int = 100_000,
-    method: str = "auto",
+    max_iterations: int = 200_000,
+    method: str = "highs",
     basis=None,
 ) -> LPSolution:
-    """Minimize the model.  ``method``: "simplex" (bundled), or "highs" and
-    "auto" (HiGHS, through SciPy).
+    """Minimize the model.  ``method``: "highs" (HiGHS, through SciPy) or
+    "simplex" (the bundled reference).
 
     ``basis`` is an optimal basis that HiGHS returned for an earlier model
     (``LPSolution.basis``).  When its row and column counts match this
     model, HiGHS starts from it; the simplex ignores it."""
     if model.n_variables == 0:
         raise ValueError("model has no variables")
-    if method in ("auto", "highs"):
+    if method == "highs":
         sol, start = _solve_highs(model, max_iterations, basis)
     elif method == "simplex":
         sol, start = _solve_simplex(model, max_iterations), "cold"

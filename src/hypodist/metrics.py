@@ -261,47 +261,29 @@ def _segment_line_crossings(
 
 
 def _diag_crossings(
-    x_cand: np.ndarray,
-    y_cand: np.ndarray,
-    ax1: np.ndarray,
-    ax2: np.ndarray,
-    shift: float,
-    sigma: float,
+    cands: list[np.ndarray], axes: list[np.ndarray], shift: float, sigma: float
 ) -> list[np.ndarray]:
     """Points where the diagonals of a (possibly shifted) cell lattice cross
-    the candidate lines x1 = const and x2 = const.
+    the candidate lines x1 = const (``cands[0]``) and x2 = const
+    (``cands[1]``).
 
-    The lattice has axis nodes ax1 - shift, ax2 - shift; diagonals run from
-    each cell's lower corner with slope sigma = h2 / h1 in the x-plane."""
-    b1 = ax1 - shift
-    b2 = ax2 - shift
-    h1 = ax1[1] - ax1[0]
-    h2 = ax2[1] - ax2[0]
+    The lattice has axis nodes axes[k] - shift; diagonals run from each
+    cell's lower corner with slope sigma = h2 / h1 in the x-plane."""
+    b = [ax - shift for ax in axes]
     out = []
-    # vertical candidate lines
-    iv = np.clip(np.searchsorted(b1, x_cand, side="right") - 1, 0, b1.size - 2)
-    off = x_cand - b1[iv]
-    ok = (off >= -_TINY) & (off <= h1 + _TINY)
-    if np.any(ok):
-        xs = x_cand[ok]
-        dy = sigma * off[ok]
-        yy = b2[None, :-1] + dy[:, None]  # (V, n2-1)
-        pts = np.stack(
-            [np.broadcast_to(xs[:, None], yy.shape), yy], axis=-1
-        ).reshape(-1, 2)
-        out.append(pts)
-    # horizontal candidate lines
-    jv = np.clip(np.searchsorted(b2, y_cand, side="right") - 1, 0, b2.size - 2)
-    off = y_cand - b2[jv]
-    ok = (off >= -_TINY) & (off <= h2 + _TINY)
-    if np.any(ok):
-        ys = y_cand[ok]
-        dx = off[ok] / sigma
-        xx = b1[None, :-1] + dx[:, None]
-        pts = np.stack(
-            [xx, np.broadcast_to(ys[:, None], xx.shape)], axis=-1
-        ).reshape(-1, 2)
-        out.append(pts)
+    for k, cand in enumerate(cands):
+        # a line x_k = c, off past its cells' lower faces b[k][i], meets each
+        # of their diagonals off * sigma (k = 0) or off / sigma (k = 1) past
+        # the cell's lower corner on the other axis
+        i = np.clip(np.searchsorted(b[k], cand, side="right") - 1, 0, b[k].size - 2)
+        off = cand - b[k][i]
+        ok = (off >= -_TINY) & (off <= axes[k][1] - axes[k][0] + _TINY)
+        if np.any(ok):
+            step = sigma * off[ok] if k == 0 else off[ok] / sigma
+            pts = np.empty((step.size, b[1 - k].size - 1, 2))
+            pts[..., k] = cand[ok][:, None]
+            pts[..., 1 - k] = b[1 - k][None, :-1] + step[:, None]
+            out.append(pts.reshape(-1, 2))
     return out
 
 
@@ -320,9 +302,9 @@ def _kinks_2d(
     h2 = a2[1] - a2[0]
     sigma = h2 / h1
 
-    chunks = _diag_crossings(x_cand, y_cand, a1, a2, 0.0, sigma)
+    chunks = _diag_crossings(cands, grid.axes, 0.0, sigma)
     if eta != 0.0:
-        chunks.extend(_diag_crossings(x_cand, y_cand, a1, a2, eta, sigma))
+        chunks.extend(_diag_crossings(cands, grid.axes, eta, sigma))
     if not levels:
         return chunks
     # the pulled-back diagonal line family x2 - sigma * x1 = const; the

@@ -214,10 +214,12 @@ def test_malformed_json_reports_line(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path / "run.json", detla=0.5)  # typo
-    assert main(["estimate", "--config", str(cfg), "--out",
-                 str(tmp_path / "o")]) == 1
-    assert "detla" in capsys.readouterr().err
+    # a typo, and the LP backend choice that estimation no longer has
+    for key, value in (("detla", 0.5), ("lp_method", "highs")):
+        cfg = write_config(tmp_path / "run.json", **{key: value})
+        assert main(["estimate", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_missing_required_key(tmp_path, capsys):
@@ -390,6 +392,30 @@ def test_non_finite_integer_lists_are_config_errors(tmp_path, capsys, key, overr
                  str(tmp_path / "o"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,key,overrides", [
+    ("validate", "$.rho_values", {"rho_values": []}),
+    ("distance", "$.rho_values", {"rho_values": []}),
+    ("distance", "$.rho_values", {"rho_values": [0.5, math.inf]}),
+    ("validate", "$.rho_values", {"rho_values": [math.nan]}),
+    ("distance", "$.rho", {"rho": math.inf}),
+    ("estimate", "$.rho", {"rho": math.inf}),
+    ("estimate", "$.rho", {"rho": -1.0}),
+    ("estimate", "$.tol", {"tol": 0.0}),
+    ("distance", "$.tol", {"tol": 1.5}),
+    ("validate", "$.tol", {"tol": math.nan}),
+])
+def test_bad_values_fail_up_front_naming_the_key(tmp_path, capsys, command, key,
+                                                 overrides):
+    # json.load accepts Infinity and NaN; such a value, an empty radius list
+    # or a tol outside (0, 1) fails before any output directory is made
+    cfg = write_config(tmp_path / "run.json", **overrides)
+    assert main([command, "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"config {key}:" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_study_rejects_bad_quad_points_up_front(tmp_path, capsys):

@@ -25,6 +25,7 @@ from hypodist import (
     shape_violation,
     two_uniforms_scenario,
 )
+from hypodist import lp
 from hypodist.estimator import assemble_lp
 from hypodist.functions import interpolation_weights
 from hypodist.lp import SENSES
@@ -223,6 +224,25 @@ def test_assembly_matches_row_by_row_reference(case):
         objective = [0.0, 1.0] if target else [1.0]
         assert model.objective.tolist() == [0.0] * problem.grid.n_nodes + objective
         assert [r.indices.tolist() for r in model.rows()] == [list(r[0]) for r in rows]
+
+
+def test_highs_agrees_with_reference_simplex_on_estimator_lps():
+    # the slack and target LPs of the two-uniforms pair at 4x4 cells, over
+    # deltas and shifts that give feasible, infeasible and saturated LPs:
+    # HiGHS, which every estimate uses, and the bundled simplex agree
+    sc = two_uniforms_scenario(cells_per_axis=4)
+    g = build_grid(sc.domain, 5)
+    F0, G0 = realize(sc.F0, g), realize(sc.G0, g)
+    for delta in (1.0, 0.7, 0.1):
+        problem = EstimationProblem(F0, G0, delta)
+        for eta in (0.0, 0.2, 0.5, 1.0):
+            for target in (False, True):
+                model, _ = assemble_lp(problem, eta, target=target)
+                a = lp.solve(model)
+                b = lp.solve(model, method="simplex")
+                assert a.status == b.status, (delta, eta, target)
+                if a.ok:
+                    assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +514,6 @@ def test_eta0_search_probe_count(two_uniforms_10):
 def target_slack(problem, eta):
     """t(eta) from a cold solve of the target LP, or None when it is
     infeasible."""
-    from hypodist import lp
-
     sol = lp.solve(assemble_lp(problem, eta, target=True)[0])
     assert sol.status in ("optimal", "infeasible")
     return sol.objective if sol.ok else None
@@ -538,8 +556,6 @@ def test_target_slack_sign_and_slope(seed, cells, eta, share, later_share):
 def test_warm_probe_sequence_matches_cold_solves(two_uniforms_10, caplog):
     # the target LPs of one estimate, each after the first started from the
     # basis of the one before, reach the same t as cold solves
-    from hypodist import lp
-
     prob = EstimationProblem(*two_uniforms_10, 0.7)
     with caplog.at_level("DEBUG", logger="hypodist.lp"):
         etas = [h[0] for h in estimate(prob).history[1:]]
