@@ -1,7 +1,8 @@
 """Command-line front end: strict JSON configs in, CSV/JSON artifacts out.
 
 Subcommands
-    estimate   solve one config (optionally a ladder of ambiguity radii)
+    estimate   solve one config (optionally a ladder of ambiguity radii,
+               estimated concurrently)
     distance   distance suite between two function sources
     study      refinement study plus validation table
     generate   write ready-to-run scenario configs (and sample CSVs)
@@ -22,6 +23,8 @@ import logging
 import math
 import os
 import sys
+import threading
+import time
 
 import numpy as np
 
@@ -415,6 +418,52 @@ def _expected_value_or_none(f: GridFunction):
 # -- subcommands -------------------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _map_until_failure(fn, items: list, workers: int) -> list:
+    """``fn`` over ``items`` on ``workers`` threads, the calling thread one of
+    them, so one worker is a plain loop.  Items are taken in order; once an
+    item raises, no later item is started.
+
+    Returns (result, exception) per item, in item order, up to the first
+    item that raised, which ends the list.  The threads overlap only where
+    ``fn`` releases the GIL, as HiGHS does while it solves."""
+    outcomes = [None] * len(items)
+    lock = threading.Lock()
+    claimed, stop = 0, len(items)
+
+    def work() -> None:
+        nonlocal claimed, stop
+        while True:
+            with lock:
+                i = claimed
+                if i >= stop:
+                    return
+                claimed += 1
+            try:
+                outcomes[i] = (fn(items[i]), None)
+            except BaseException as e:  # re-raised by the caller, in order
+                outcomes[i] = (None, e)
+                with lock:
+                    stop = min(stop, i + 1)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    return outcomes[:stop]
+
+
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid",
@@ -423,11 +472,23 @@ def cmd_estimate(args) -> int:
     deltas = _deltas(cfg)
     out = _out_dir(args, cfg)
 
+    def solve_delta(delta: float):
+        problem = _make_problem(F0, G0, delta, rho, shape, tol)
+        return problem, estimate(problem)
+
+    # each delta is estimated on its own, so the deltas run concurrently;
+    # their files are written afterwards, in config order
+    workers = min(len(deltas), _usable_cpus())
+    t0 = time.perf_counter()
+    outcomes = _map_until_failure(solve_delta, deltas, workers)
+    elapsed = time.perf_counter() - t0
+
     runs = []
     total_time = 0.0
-    for delta in deltas:
-        problem = _make_problem(F0, G0, delta, rho, shape, tol)
-        result = estimate(problem)
+    for delta, (solved, error) in zip(deltas, outcomes):
+        if error is not None:
+            raise error
+        problem, result = solved
         total_time += result.wall_time
         suffix = "" if len(deltas) == 1 else f"_delta_{delta:g}"
         sol_path = os.path.join(out, f"solution{suffix}.csv")
@@ -470,7 +531,8 @@ def cmd_estimate(args) -> int:
         "tol": tol,
         "grid": grid.to_json_obj(),
         "runs": runs,
-        "timings": {"total_wall_time": total_time},
+        "timings": {"total_wall_time": total_time, "elapsed": elapsed,
+                    "workers": workers},
     }
     _dump_json(report, os.path.join(out, "result.json"))
     return 0

@@ -29,7 +29,8 @@ there, and a warm run that HiGHS rejects, that needs more pivots than the
 model has rows and columns, or that ends outside the four statuses is
 solved again cold.  A model that HiGHS rejects raises ``SolverError``, and
 so does a HiGHS solve without the bindings, which ship with SciPy 1.15 and
-later.
+later.  Each HiGHS run uses one thread and releases the GIL, so solves on
+separate threads run in parallel.
 
 The simplex keeps nonbasic variables at finite bounds, prices with Dantzig's
 rule and falls back to Bland's rule after a run of degenerate pivots, so it
@@ -499,6 +500,9 @@ def _run_highs(core, lp, max_iterations: int, presolve: bool, basis=None):
     options.dual_feasibility_tolerance = 1e-9
     options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.simplex_iteration_limit = options.ipm_iteration_limit = max_iterations
+    # the dual simplex is serial; one thread keeps concurrent runs from
+    # sizing HiGHS's task scheduler by the host's core count
+    options.threads = 1
     highs = core._Highs()
     error = core.HighsStatus.kError
     highs.passOptions(options)
@@ -535,7 +539,8 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
         )
         start = "warm"
         if status in (None, "iteration_limit"):
-            status, start = None, "warm, cold retry"
+            # free the failed run's HiGHS instance before the cold one is built
+            status, start, highs = None, "warm, cold retry", None
             logger.debug("re-solving LP cold: %s", message)
     if status is None:
         status, highs, nit, message = _run_highs(core, lp, max_iterations, True)
@@ -543,6 +548,7 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
         # presolve occasionally reports near-degenerate instances as
         # "unknown"; a clean phase-1 run settles the question
         logger.debug("retrying LP without presolve: %s", message)
+        highs = None
         status, highs, nit, message = _run_highs(core, lp, max_iterations, False)
     if status is None:
         raise SolverError(f"LP backend failed: {message}")

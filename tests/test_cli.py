@@ -161,6 +161,70 @@ def test_ladder_matches_single_delta_estimates(tmp_path):
     assert all(b >= a for a, b in zip(etas, etas[1:])), etas
 
 
+def test_ladder_on_two_workers_matches_one_worker(tmp_path, monkeypatch):
+    # the deltas of a ladder run concurrently, one per usable CPU; forcing
+    # the CPU count runs the threaded path on any host, and its files must
+    # equal a one-worker run's byte for byte
+    from hypodist import cli as climod
+
+    cfg = write_config(tmp_path / "ladder.json", delta=[0.7, 1.0, 0.4, 0.1])
+    docs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(climod, "_usable_cpus", lambda n=workers: n)
+        out = tmp_path / f"workers_{workers}"
+        assert main(["estimate", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        doc = read_json(out / "result.json")
+        timings = doc.pop("timings")
+        assert timings["workers"] == workers and timings["elapsed"] > 0
+        assert timings["total_wall_time"] == pytest.approx(
+            sum(r.pop("wall_time") for r in doc["runs"]))
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    names = sorted(os.listdir(tmp_path / "workers_1"))
+    assert names == sorted(os.listdir(tmp_path / "workers_2"))
+    assert len(names) == 1 + 4 * 4  # result.json; csv, sidecar, 2 plots per delta
+    for name in names:
+        if name != "result.json":
+            assert filecmp.cmp(tmp_path / "workers_1" / name,
+                               tmp_path / "workers_2" / name, shallow=False), name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failing_delta_in_config_order_decides(tmp_path, monkeypatch, capsys,
+                                                     workers):
+    # delta 0.4 fails after its estimate and 0.1 fails at once: the run
+    # exits as 0.4 does, with delta 1's files written and no others; one
+    # worker never starts delta 0.1
+    from hypodist import IterationLimitError, ShapeInfeasibleError
+    from hypodist import cli as climod
+
+    real_estimate = climod.estimate
+    started = []
+
+    def fails(problem):
+        started.append(problem.delta)
+        if problem.delta == 0.1:
+            raise ShapeInfeasibleError("delta 0.1")
+        result = real_estimate(problem)
+        if problem.delta == 0.4:
+            raise IterationLimitError("delta 0.4")
+        return result
+
+    monkeypatch.setattr(climod, "estimate", fails)
+    monkeypatch.setattr(climod, "_usable_cpus", lambda: workers)
+    cfg = write_config(tmp_path / "ladder.json", delta=[1.0, 0.4, 0.1])
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 3
+    assert capsys.readouterr().err == "iteration limit: delta 0.4\n"
+    assert sorted(os.listdir(out)) == [
+        "cell_mass_delta_1.dat", "solution_delta_1.csv",
+        "solution_delta_1.csv.meta.json", "surface_delta_1.dat"]
+    if workers == 1:
+        assert started == [1.0, 0.4]
+
+
 def run_generated_two_uniforms_ladder(tmp_path, cells=None):
     """The generated two-uniforms ladder, at ``cells`` per axis if given, in
     a subprocess, because a solver crash would take the interpreter with

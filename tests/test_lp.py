@@ -323,3 +323,56 @@ def test_warm_run_at_its_budget_falls_back_to_cold(monkeypatch, caplog):
     assert caplog.text.count("start=warm, cold retry") == len(warm)
     for a, b in zip(cold, retried):
         assert same_solution(a, b)
+
+
+def test_concurrent_solves_match_sequential_ones():
+    # HiGHS releases the GIL while it solves, so solves on several threads
+    # overlap, as the deltas of a CLI ladder do.  Each thread runs the
+    # estimator's slack LPs cold and its target LPs as a warm chain, in its
+    # own rotation, and must get what a sequential run gets.
+    import sys
+    import threading
+
+    from hypodist import EstimationProblem, build_grid, realize, two_uniforms_scenario
+    from hypodist.estimator import assemble_lp
+
+    sc = two_uniforms_scenario(cells_per_axis=12)
+    g = build_grid(sc.domain, 13)
+    problem = EstimationProblem(realize(sc.F0, g), realize(sc.G0, g), 0.4)
+    etas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    slack = [assemble_lp(problem, eta)[0] for eta in etas]
+    target = [assemble_lp(problem, eta, target=True)[0] for eta in etas]
+
+    def run(k: int) -> list:
+        sols = [solve(m) for m in slack[k:] + slack[:k]]
+        basis = None
+        for m in target[k:] + target[:k]:
+            sols.append(solve(m, basis=basis))
+            basis = sols[-1].basis
+        return sols
+
+    n_threads = 4
+    expected = [run(k) for k in range(n_threads)]
+    got = [None] * n_threads
+    start = threading.Barrier(n_threads)
+
+    def work(k: int) -> None:
+        start.wait()
+        got[k] = run(k)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert any(s.status == "infeasible" for s in expected[0])
+    assert any(s.ok for s in expected[0])
+    for want, have in zip(expected, got):
+        assert len(have) == len(want)
+        assert all(same_solution(a, b) for a, b in zip(want, have))
