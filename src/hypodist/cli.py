@@ -18,6 +18,7 @@ file's directory.  Exit codes: 0 success, 1 configuration or usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -42,7 +43,9 @@ from .functions import (
     GridFunction,
     Mixture,
     UniformBox,
+    _axis_header,
     _csv_rows,
+    _write_rows,
     cell_masses,
     empirical_cdf,
     expected_value,
@@ -51,7 +54,7 @@ from .functions import (
     resample,
     save_grid_function,
 )
-from .grid import Domain, Grid, build_grid, refine
+from .grid import Domain, Grid, build_grid, lattice
 from .lp import SolverError
 from .metrics import (
     default_rho,
@@ -217,7 +220,7 @@ def _read_samples_csv(path: str, where: str) -> np.ndarray:
             rows = _csv_rows(fh, len(cols))
     except (OSError, ValueError) as e:
         _fail(where, f"cannot read samples from {path}: {e}")
-    if cols != [f"x{i + 1}" for i in range(len(cols))]:
+    if header != _axis_header(len(cols)):
         _fail(where, f"{path}: expected header like 'x1,x2', got {header!r}")
     if not rows.size:
         _fail(where, f"{path}: no sample rows")
@@ -383,27 +386,8 @@ def _dump_json(obj, path: str) -> None:
 def _write_plot(path: str, axes, values: np.ndarray) -> None:
     """gnuplot-ready ``x1 [x2] value`` rows over the lattice of ``axes``, in
     C order; in 2-D a blank line follows each row of axis 0."""
-    with open(path, "w") as fh:
-        if len(axes) == 1:
-            for x, v in zip(axes[0], values):
-                fh.write(f"{float(x)!r} {float(v)!r}\n")
-        else:
-            for x1, row in zip(axes[0], values):
-                for x2, v in zip(axes[1], row):
-                    fh.write(f"{float(x1)!r} {float(x2)!r} {float(v)!r}\n")
-                fh.write("\n")
-
-
-def _sandwich_record(rep) -> dict:
-    return {
-        "eta_minus": rep.eta_minus,
-        "hat_rho": rep.hat_rho,
-        "eta_plus": rep.eta_plus,
-        "oracle": rep.oracle,
-        "hat_two_rho": rep.hat_two_rho,
-        "lattice_slack": rep.lattice_slack,
-        "violations": list(rep.violations),
-    }
+    table = np.column_stack([lattice(axes), np.reshape(values, -1)])
+    _write_rows(path, table, sep=" ", block=axes[-1].size if len(axes) > 1 else 0)
 
 
 def _expected_value_or_none(f: GridFunction):
@@ -612,7 +596,7 @@ def cmd_study(args) -> int:
 
     def validate_level(item) -> dict:
         factor, result = item
-        g = refine(grid, factor)
+        g = result.solution.grid
         sandwich = verify_sandwich(
             resample(F0, g), resample(G0, g), problem.rho, samples_per_axis=7
         )
@@ -625,7 +609,7 @@ def cmd_study(args) -> int:
             "distribution_error_pct": distribution_error_pct(
                 result.solution, budget=budget
             ),
-            "sandwich": _sandwich_record(sandwich),
+            "sandwich": dataclasses.asdict(sandwich),
         }
 
     levels = [validate_level(item) for item in zip(factors, report.results)]
@@ -670,7 +654,7 @@ def cmd_validate(args) -> int:
 
     def sandwich_at(r: float) -> dict:
         rep = verify_sandwich(F0, G0, r, samples_per_axis=samples, tol=tol)
-        return {"rho": r, **_sandwich_record(rep)}
+        return {"rho": r, **dataclasses.asdict(rep)}
 
     try:
         sandwiches = [sandwich_at(r) for r in rho_values]
@@ -699,72 +683,44 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _write_samples_csv(path: str, points: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(points.shape[1])))
-        fh.write("\n")
-        for row in points:
-            fh.write(",".join(repr(float(c)) for c in row))
-            fh.write("\n")
-
-
 def cmd_generate(args) -> int:
     out = _out_dir(args, {})
-
     seed = args.seed if args.seed is not None else 7
+    written = []
     if args.scenario == "two-uniforms":
         sc = two_uniforms_scenario()
-        common = {
-            "schema_version": SCHEMA_VERSION,
-            "domain": {
-                "lower": [float(v) for v in sc.domain.lower],
-                "upper": [float(v) for v in sc.domain.upper],
-            },
-            "F0": {"kind": "uniform_box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
-            "G0": {"kind": "uniform_box", "lower": [2.0, 2.0], "upper": [3.0, 3.0]},
-            "tol": 1e-8,
-            "seed": seed,
-        }
-        est = dict(common)
-        est["grid"] = {"cells_per_axis": list(sc.cells_per_axis)}
-        est["delta"] = list(sc.deltas)
-        _dump_json(est, os.path.join(out, "two_uniforms_estimate.json"))
-        study = dict(common)
-        study["grid"] = {"cells_per_axis": [10, 10]}
-        study["delta"] = 0.7
-        study["refinement_factors"] = [1, 2, 4]
-        _dump_json(study, os.path.join(out, "two_uniforms_study.json"))
-        if not args.quiet:
-            print(f"wrote two_uniforms_estimate.json and two_uniforms_study.json "
-                  f"to {out}")
-        return 0
-    if args.scenario == "uuv-synthetic":
+        sources = [{"kind": "uniform_box", **dataclasses.asdict(box)}
+                   for box in (sc.F0, sc.G0)]
+    else:
         sc = uuv_scenario(seed)
-        target_csv = "uuv_target_samples.csv"
-        anchor_csv = "uuv_anchor_samples.csv"
-        _write_samples_csv(os.path.join(out, target_csv), sc.samples["target"])
-        _write_samples_csv(os.path.join(out, anchor_csv), sc.samples["anchor"])
-        cfg = {
-            "schema_version": SCHEMA_VERSION,
-            "domain": {
-                "lower": [float(v) for v in sc.domain.lower],
-                "upper": [float(v) for v in sc.domain.upper],
-            },
-            "grid": {"cells_per_axis": list(sc.cells_per_axis)},
-            "F0": {"kind": "samples_csv", "path": target_csv},
-            "G0": {"kind": "samples_csv", "path": anchor_csv},
-            "delta": [0.9, 0.1, 0.01],
-            "tol": 1e-8,
-            "seed": seed,
-        }
-        _dump_json(cfg, os.path.join(out, "uuv_synthetic_estimate.json"))
-        if not args.quiet:
-            print(f"wrote {target_csv}, {anchor_csv} and "
-                  f"uuv_synthetic_estimate.json to {out}")
-        return 0
-    print(f"unknown scenario {args.scenario!r}; expected two-uniforms or "
-          f"uuv-synthetic", file=sys.stderr)
-    return 1
+        sources = []
+        for label in ("target", "anchor"):
+            written.append(f"uuv_{label}_samples.csv")
+            points = sc.samples[label]
+            _write_rows(os.path.join(out, written[-1]), points,
+                        header=_axis_header(points.shape[1]))
+            sources.append({"kind": "samples_csv", "path": written[-1]})
+    common = {
+        "schema_version": SCHEMA_VERSION,
+        "domain": {"lower": sc.domain.lower.tolist(),
+                   "upper": sc.domain.upper.tolist()},
+        "F0": sources[0],
+        "G0": sources[1],
+        "tol": 1e-8,
+        "seed": seed,
+    }
+    configs = {"estimate": {**common,
+                            "grid": {"cells_per_axis": list(sc.cells_per_axis)},
+                            "delta": list(sc.deltas)}}
+    if args.scenario == "two-uniforms":
+        configs["study"] = {**common, "grid": {"cells_per_axis": [10, 10]},
+                            "delta": 0.7, "refinement_factors": [1, 2, 4]}
+    for kind, cfg in configs.items():
+        written.append(f"{sc.name.replace('-', '_')}_{kind}.json")
+        _dump_json(cfg, os.path.join(out, written[-1]))
+    if not args.quiet:
+        print(f"wrote {', '.join(written[:-1])} and {written[-1]} to {out}")
+    return 0
 
 
 # -- entry point -------------------------------------------------------------------
@@ -797,7 +753,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_validate)
     p = sub.add_parser("generate", help="write ready-to-run scenario inputs")
-    p.add_argument("scenario", help="two-uniforms | uuv-synthetic")
+    p.add_argument("scenario", choices=["two-uniforms", "uuv-synthetic"])
     p.add_argument("--seed", type=int, default=None,
                    help="sample seed (default 7)")
     common(p, needs_config=False)

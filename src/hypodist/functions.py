@@ -433,6 +433,25 @@ def _meta_path(path: str) -> str:
     return path + ".meta.json"
 
 
+def _axis_header(dim: int) -> str:
+    """``x1,...,xm``: the coordinate columns of the package's CSV files."""
+    return ",".join(f"x{i + 1}" for i in range(dim))
+
+
+def _write_rows(path: str, table: np.ndarray, *, header: str | None = None,
+                sep: str = ",", block: int = 0) -> None:
+    """Write the rows of a 2-D float table as text lines of shortest
+    round-tripping decimals joined by ``sep``, after an optional ``header``
+    line; a positive ``block`` puts a blank line after every ``block`` rows."""
+    lines = [] if header is None else [header]
+    for i, row in enumerate(np.asarray(table, dtype=float).tolist(), start=1):
+        lines.append(sep.join(map(repr, row)))
+        if block and i % block == 0:
+            lines.append("")
+    with open(path, "w") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
 def save_grid_function(f: GridFunction, path: str) -> None:
     """Write ``x1[,x2],value`` CSV rows plus a JSON sidecar.
 
@@ -448,17 +467,8 @@ def save_grid_function(f: GridFunction, path: str) -> None:
     else:
         lower, upper = grid.cell_bounds()
         points = 0.5 * (lower + upper)
-    flat = f.values.reshape(-1)
-    header = ",".join(f"x{i + 1}" for i in range(grid.dim)) + ",value"
-    with open(path, "w") as fh:
-        fh.write(header)
-        fh.write("\n")
-        for row, v in zip(points, flat):
-            for c in row:
-                fh.write(repr(float(c)))
-                fh.write(",")
-            fh.write(repr(float(v)))
-            fh.write("\n")
+    _write_rows(path, np.column_stack([points, f.values.reshape(-1)]),
+                header=_axis_header(grid.dim) + ",value")
     meta = {
         "format_version": FORMAT_VERSION,
         "order": f.order,
@@ -508,7 +518,7 @@ def load_grid_function(path: str) -> GridFunction:
         raise ValueError(f"malformed sidecar {meta_path}: {exc!r}") from exc
     if meta.get("grid_hash") not in (None, grid.content_hash()):
         raise ValueError("grid hash mismatch; sidecar does not match its grid")
-    expected_header = ",".join(f"x{i + 1}" for i in range(grid.dim)) + ",value"
+    expected_header = _axis_header(grid.dim) + ",value"
     with open(path) as fh:
         header = fh.readline().strip()
         if header != expected_header:

@@ -1,6 +1,8 @@
 """Rectangular domains, box partitions and their triangulation.
 
-A domain is a finite box S = [a_1, b_1] x ... x [a_m, b_m].  A grid carries
+A domain is a finite box S = [a_1, b_1] x ... x [a_m, b_m].  ``Domain`` is
+the one box type: a rectangle A inside S, a partition cell and S itself are
+all ``Domain`` objects, and ``Rect`` is another name for it.  A grid carries
 strictly increasing node coordinates per axis (first node = a_i, last = b_i)
 and induces the box partition into cells [l^k, u^k], the parity-signed cell
 corners used by the signed corner-sum operator, and the Kuhn triangulation
@@ -53,7 +55,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Domain:
-    """A finite rectangular domain S = [lower_1, upper_1] x ... x [lower_m, upper_m]."""
+    """A finite closed box [lower_1, upper_1] x ... x [lower_m, upper_m]: the
+    domain S, or a rectangle inside it, with parity-signed corners."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -89,6 +92,20 @@ class Domain:
             return False
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
+    @property
+    def vertices(self) -> np.ndarray:
+        """The 2^m corners, shape (2^m, m), in ``corner_bits`` order."""
+        return np.where(corner_bits(self.dim) == 1, self.upper, self.lower)
+
+    @property
+    def signs(self) -> np.ndarray:
+        """Parity signs of ``vertices`` in the signed corner sum; they sum
+        to zero."""
+        return _vertex_signs(self.dim)
+
+    def centroid(self) -> np.ndarray:
+        return 0.5 * (self.lower + self.upper)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Domain):
             return NotImplemented
@@ -100,6 +117,9 @@ class Domain:
 
     def __hash__(self) -> int:
         return hash((self.lower.tobytes(), self.upper.tobytes()))
+
+
+Rect = Domain
 
 
 def lattice(coords: Sequence[np.ndarray]) -> np.ndarray:
@@ -120,48 +140,6 @@ def _vertex_signs(dim: int) -> np.ndarray:
     when the number of coordinates sitting at a lower bound is even."""
     n_lower = dim - corner_bits(dim).sum(axis=1)
     return np.where(n_lower % 2 == 0, 1, -1)
-
-
-@dataclass(frozen=True)
-class Rect:
-    """One closed box [lower, upper] with parity-signed corners.
-
-    ``vertices`` has shape (2^m, m), in ``corner_bits`` order: row j is the
-    corner whose axis-i coordinate is ``upper[i]`` when bit i of j is set,
-    else ``lower[i]``.
-    ``signs[j]`` is +1 when the count of coordinates of row j equal to a lower
-    bound is even, -1 otherwise; the signs always sum to zero.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __init__(self, lower: Sequence[float], upper: Sequence[float]) -> None:
-        lo = np.asarray(lower, dtype=float).reshape(-1)
-        hi = np.asarray(upper, dtype=float).reshape(-1)
-        if lo.shape != hi.shape or lo.size == 0:
-            raise ValueError("Rect needs equal-length lower/upper vectors")
-        if not np.all(lo < hi):
-            raise ValueError(f"Rect needs lower < upper componentwise, got {lo} vs {hi}")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        self.lower.setflags(write=False)
-        self.upper.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return int(self.lower.size)
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return np.where(corner_bits(self.dim) == 1, self.upper, self.lower)
-
-    @property
-    def signs(self) -> np.ndarray:
-        return _vertex_signs(self.dim)
-
-    def centroid(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
 
 
 class Grid:
@@ -381,7 +359,7 @@ def mesh_size(grid: Grid) -> float:
 
 
 def cells(grid: Grid) -> Iterator[Rect]:
-    """Lexicographic enumeration of the partition cells as signed Rects."""
+    """Lexicographic enumeration of the partition cells as boxes."""
     lower, upper = grid.cell_bounds()
     for k in range(lower.shape[0]):
         yield Rect(lower[k], upper[k])

@@ -537,6 +537,85 @@ def test_generate_uuv_deterministic(tmp_path):
 def test_generate_unknown_scenario(tmp_path, capsys):
     assert main(["generate", "no-such-thing", "--out",
                  str(tmp_path / "o")]) == 1
+    # rejected before the output directory is made
+    assert not (tmp_path / "o").exists()
+
+
+# exact text of every table file for a fixed solution: shortest round-trip
+# floats, C-order rows, and in 2-D a blank line after each row of axis 0
+PINNED_TABLES = {
+    1: {
+        "solution.csv": "x1,value\n"
+                        "0.0,0.0\n"
+                        "1.5,0.3333333333333333\n"
+                        "3.0,1.0\n",
+        "surface.dat": "0.0 0.0\n"
+                       "1.5 0.3333333333333333\n"
+                       "3.0 1.0\n",
+        "cell_mass.dat": "0.75 0.3333333333333333\n"
+                         "2.25 0.6666666666666667\n",
+    },
+    2: {
+        "solution.csv": "x1,x2,value\n"
+                        "0.0,0.0,0.0\n"
+                        "0.0,1.0,0.0\n"
+                        "1.0,0.0,0.0\n"
+                        "1.0,1.0,0.3333333333333333\n"
+                        "2.0,0.0,0.0\n"
+                        "2.0,1.0,1.0\n",
+        "surface.dat": "0.0 0.0 0.0\n"
+                       "0.0 1.0 0.0\n"
+                       "\n"
+                       "1.0 0.0 0.0\n"
+                       "1.0 1.0 0.3333333333333333\n"
+                       "\n"
+                       "2.0 0.0 0.0\n"
+                       "2.0 1.0 1.0\n"
+                       "\n",
+        "cell_mass.dat": "0.5 0.5 0.3333333333333333\n"
+                         "\n"
+                         "1.5 0.5 0.6666666666666667\n"
+                         "\n",
+    },
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_table_files_pinned_text(tmp_path, monkeypatch, dim):
+    from hypodist import EstimateResult, GridFunction
+    from hypodist import cli as climod
+
+    if dim == 1:
+        values = [0.0, 1.0 / 3.0, 1.0]
+        box = {"lower": [0.0], "upper": [3.0]}
+        cells, F0, G0 = 2, ([0.0], [1.0]), ([2.0], [3.0])
+    else:
+        values = [[0.0, 0.0], [0.0, 1.0 / 3.0], [0.0, 1.0]]
+        box = {"lower": [0.0, 0.0], "upper": [2.0, 1.0]}
+        cells, F0, G0 = [2, 1], ([0.0, 0.0], [1.0, 1.0]), ([1.0, 0.0], [2.0, 1.0])
+
+    def fixed(problem, **kw):
+        solution = GridFunction(problem.grid, 1, np.array(values), monotone=True)
+        return EstimateResult(solution, 0.5, 0.0, [(1.0, 0.0, 0)], 0.0)
+
+    monkeypatch.setattr(climod, "estimate", fixed)
+    cfg = write_config(
+        tmp_path / "run.json", domain=box, grid={"cells_per_axis": cells},
+        F0={"kind": "uniform_box", "lower": F0[0], "upper": F0[1]},
+        G0={"kind": "uniform_box", "lower": G0[0], "upper": G0[1]},
+    )
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    for name, text in PINNED_TABLES[dim].items():
+        assert (out / name).read_text() == text, name
+
+
+def test_generated_samples_csv_pinned_text(tmp_path):
+    assert main(["generate", "uuv-synthetic", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    lines = (tmp_path / "uuv_target_samples.csv").read_text().splitlines()
+    assert lines[:2] == ["x1,x2", "2.175286399814001,1.6355420815513209"]
 
 
 def test_config_with_extra_family_keys_is_shared(tmp_path):

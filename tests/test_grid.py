@@ -31,6 +31,13 @@ def test_rect_vertices_and_signs():
         n_lower = int(np.sum(row == [0.0, 0.0]))
         assert sign == (1.0 if n_lower % 2 == 0 else -1.0)
     assert np.allclose(r.centroid(), [0.5, 1.0])
+    # one box type: rectangles compare and hash by value like domains
+    assert Rect is Domain
+    assert Rect([0.0, 0.0], [1.0, 2.0]) == r
+    assert hash(Rect([0.0, 0.0], [1.0, 2.0])) == hash(r)
+    g = build_grid(Domain([0.0, 0.0], [1.0, 2.0]), [3, 4])
+    lower, upper = g.cell_bounds()
+    assert list(cells(g)) == [Rect(lo, hi) for lo, hi in zip(lower, upper)]
 
 
 def test_build_grid_shapes():
