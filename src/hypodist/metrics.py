@@ -55,7 +55,14 @@ to fast-and-certified:
   shift distances on a radius quadrature together with the facts that the
   shift distance is nondecreasing in rho, sandwiches the truncated distance
   between radii rho and 2 rho, and saturates once the ball swallows the
-  domain and the unit range.
+  domain and the unit range.  Write V_rho for V at radius rho.  V_rho(eta)
+  is nondecreasing in rho, since the region R and the caps min(h, rho) both
+  grow, so a shift feasible at one radius is feasible at every smaller one.
+  The radii are searched in ascending order, each from the previous hat;
+  once that hat was itself feasible at two radii in a row, it is tested
+  ahead (2, 4, 8, ... radii past the last feasible test, then bisecting
+  after a failed test), and every radius up to a feasible test takes the
+  previous hat unsearched.
 """
 
 from __future__ import annotations
@@ -120,9 +127,10 @@ class DistanceReport:
     ``quad_term`` (when set) is the quadrature oscillation sum — the part of
     the bracket width attributable to finite radial resolution, as opposed to
     the exactly-handled exponential tail.  ``evaluations`` (when set) counts
-    the violation evaluations of the shift-distance searches over all radii,
-    and ``points`` the region points they evaluated (boxes, when a step
-    function is involved).
+    the violation evaluations of the shift-distance searches and of the
+    gallop tests over the radius quadrature, and ``points`` the region
+    points they evaluated (boxes, when a step function is involved); a
+    radius filled from a gallop test costs neither.
     """
 
     value: float
@@ -489,7 +497,12 @@ def slope_bounded_search(
 
 
 def _hat_bracketed(
-    f: GridFunction, g: GridFunction, rho: float, tol: float, lo: float
+    f: GridFunction,
+    g: GridFunction,
+    rho: float,
+    tol: float,
+    lo: float,
+    _v_lo: float | None = None,
 ) -> tuple[float, int, int]:
     """Least feasible shift at or above lo, to within tol, with the number of
     violation evaluations spent on it and the region points they evaluated.
@@ -498,7 +511,10 @@ def _hat_bracketed(
     shift is found by ``slope_bounded_search`` in (lo, 1], since V falls
     with slope at most -1 (module docstring); the result is its upper end,
     so it overshoots the threshold by at most tol.  The per-radius setup of
-    V (``_violation_at``) is done once, before the first probe.
+    V (``_violation_at``) is done once, before the first probe.  ``_v_lo``
+    is V(lo) at rho when the caller has already evaluated it (a gallop test
+    of ``hypo_dist_estimate``); it is then neither evaluated nor counted
+    again.
     """
     violation = _violation_at(f, g, rho)
     evaluations = points = 0
@@ -510,7 +526,7 @@ def _hat_bracketed(
         points += n
         return v
 
-    v_lo = value(lo)
+    v_lo = value(lo) if _v_lo is None else _v_lo
     if v_lo <= SUP_TOL:
         return lo, evaluations, points
     # shift 1 is feasible for [0, 1]-valued inputs, unless a monotone flag
@@ -892,6 +908,17 @@ def hypo_dist_estimate(
     quadrature interval by s at the ends, and reported as the midpoint-rule
     average of the two bracket integrands, which lands inside the bracket by
     monotonicity of s.
+
+    The shift distances are searched in ascending radius, each from the
+    previous hat.  Over a plateau of s, the radii past two that kept the
+    previous hat are filled from gallop tests of V at that hat (module
+    docstring): each test is one violation evaluation and counts in
+    ``evaluations`` and ``points``, a filled radius costs nothing, and the
+    test that fails is reused as V(lo) by that radius's search.  Every hat
+    equals that of a search at every radius.  The evaluations exceed that
+    search's by at most one per plateau, on a plateau that ends within four
+    radii of the gallop's start, where failed tests can outnumber the radii
+    filled.
     """
     _validate_pair(f, g, need_uniform=True)
     if quad_points < 1:
@@ -909,15 +936,46 @@ def hypo_dist_estimate(
     args = args[args > 0]
     hats = {0.0: 0.0}
     prev = 0.0
-    evaluations = points = 0
-    for r in args:
-        val, spent, seen = _hat_bracketed(f, g, float(r), tol, lo=prev)
+    evaluations = points = searched = tests = 0
+    run = 0  # radii in a row at which prev itself was feasible
+    v_next = None  # V(prev) at args[i], when a gallop test measured it
+    i = 0
+    while i < args.size:
+        if run >= 2:
+            # gallop from args[i - 1], feasible at prev: test prev 2, then
+            # 4, 8, ... indices past the last feasible test (known), and
+            # once a test fails (bad), bisect between the two
+            known, bad, step = i - 1, args.size, 2
+            while bad - known > 1:
+                if bad == args.size:
+                    j = min(known + step, args.size - 1)
+                    step *= 2
+                else:
+                    j = (known + bad) // 2
+                v, seen = _violation_at(f, g, float(args[j]))(prev)
+                tests += 1
+                points += seen
+                if v <= SUP_TOL:
+                    known = j
+                else:
+                    bad, v_next = j, v
+            # V is nondecreasing in rho, so prev is feasible at every
+            # radius up to a feasible test
+            for r in args[i : known + 1]:
+                hats[float(r)] = prev
+            i, run = known + 1, 0
+            continue
+        val, spent, seen = _hat_bracketed(f, g, float(args[i]), tol, prev, v_next)
+        searched += 1
         evaluations += spent
         points += seen
+        run = run + 1 if val <= prev else 0
         # the shift distance is nondecreasing in rho; enforce it on the
         # computed sequence so the bracket holds by construction
         prev = max(prev, val)
-        hats[float(r)] = prev
+        hats[float(args[i])] = prev
+        i, v_next = i + 1, None
+    evaluations += tests
 
     def hat(r: float) -> float:
         return hats[float(min(r, rho_bar))]
@@ -937,11 +995,14 @@ def hypo_dist_estimate(
         )
     logger.debug(
         "hypo_dist_estimate: value=%.6g bracket=[%.6g, %.6g] "
-        "(%d radii, %d violation evaluations, %d region points)",
+        "(%d radii searched, %d filled, %d gallop tests; "
+        "%d violation evaluations, %d region points)",
         value,
         lower,
         upper,
-        len(hats),
+        searched,
+        args.size - searched,
+        tests,
         evaluations,
         points,
     )

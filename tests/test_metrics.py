@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from hypodist import (
     upper_envelope,
 )
 from hypodist.grid import lattice
-from hypodist.metrics import SUP_TOL, _violation
+from hypodist.metrics import SUP_TOL, _hat_bracketed, _violation, saturation_radius
 from tests.conftest import random_monotone
 
 # ---------------------------------------------------------------------------
@@ -314,16 +316,64 @@ def _uuv_box_pair():
 
 def test_search_evaluation_budget():
     # the bisection it replaced spent 646 feasibility tests (1,022
-    # violation sups) here
+    # violation sups) here, and a search at every radius 113; galloping
+    # over the plateaus of the shift distance spends 80
     rep = hypo_dist_estimate(*_uuv_box_pair(), quad_points=32)
-    assert rep.evaluations <= 130
+    assert rep.evaluations <= 90
 
 
 def test_search_point_budget():
-    # 87,811 region points when both directions share one point set per
-    # shift
+    # 87,811 region points with a search at every radius, both directions
+    # sharing one point set per shift; 38,101 when the plateau radii are
+    # filled without a search
     rep = hypo_dist_estimate(*_uuv_box_pair(), quad_points=32)
-    assert rep.points <= 95_000
+    assert rep.points <= 45_000
+
+
+def scan_estimate(f, g, quad_points: int, tol: float = 1e-8):
+    """``hypo_dist_estimate`` without the gallop: the shift distance is
+    searched at every radius in ascending order, each search starting at
+    the previous hat.  Returns (value, lower, upper, evaluations)."""
+    rho_bar = saturation_radius(f.grid.domain)
+    edges = np.linspace(0.0, rho_bar, quad_points + 1)
+    a, b = edges[:-1], edges[1:]
+    mids = 0.5 * (a + b)
+    args = np.unique(
+        np.minimum(np.concatenate([a[1:], mids, 2 * mids, 2 * b, [rho_bar]]), rho_bar)
+    )
+    hats, prev, evaluations = {0.0: 0.0}, 0.0, 0
+    for r in args[args > 0]:
+        val, spent, _ = _hat_bracketed(f, g, float(r), tol, prev)
+        evaluations += spent
+        prev = max(prev, val)
+        hats[float(r)] = prev
+
+    def hat(rs):
+        return np.array([hats[float(min(r, rho_bar))] for r in rs])
+
+    w = np.exp(-a) - np.exp(-b)
+    tail = math.exp(-rho_bar) * hats[float(rho_bar)]
+    lower = float(np.sum(w * hat(a))) + tail
+    upper = float(np.sum(w * hat(2 * b))) + tail
+    value = float(np.sum(w * 0.5 * (hat(mids) + hat(2 * mids)))) + tail
+    return value, lower, upper, evaluations
+
+
+@pytest.mark.parametrize("case", [
+    *(f"{path}-{seed}" for path in _PATHS for seed in range(3)), "uuv-boxes",
+])
+def test_gallop_matches_scan_at_every_radius(case):
+    # every searched radius starts where the scan's does and every skipped
+    # one is feasible at the previous hat, so the report is bit-identical
+    if case == "uuv-boxes":
+        F, G = _uuv_box_pair()
+    else:
+        path, seed = case.rsplit("-", 1)
+        F, G = random_pair(int(seed), path)
+    rep = hypo_dist_estimate(F, G, quad_points=32)
+    value, lower, upper, evaluations = scan_estimate(F, G, quad_points=32)
+    assert (rep.value, rep.lower_bound, rep.upper_bound) == (value, lower, upper)
+    assert rep.evaluations <= evaluations
 
 
 def brute_force_violation(f, g, rho: float, eta: float) -> float:
