@@ -487,9 +487,11 @@ def cmd_estimate(args) -> int:
             "eta": result.eta,
             "slack": result.slack,
             "expected_value": _expected_value_or_none(result.solution),
+            # the slack LP, at eta = 1, runs first or not at all; the target
+            # search starts at eta = 0
             "history": [
-                {"eta": e, "kind": "target" if i else "slack", "objective": v,
-                 "lp_iterations": it}
+                {"eta": e, "kind": "slack" if i == 0 and e == 1.0 else "target",
+                 "objective": v, "lp_iterations": it}
                 for i, (e, v, it) in enumerate(result.history)
             ],
             "wall_time": result.wall_time,

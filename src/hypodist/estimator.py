@@ -142,6 +142,7 @@ class EstimationProblem:
         self.rho = rho_val
         self.shape = shape if shape is not None else ShapeConstraints()
         self.tol = float(tol)
+        self._lp_rows = None  # ``estimator._FixedRows``, built on first use
 
     @property
     def grid(self) -> Grid:
@@ -159,8 +160,9 @@ class EstimateResult:
     solution: GridFunction
     eta: float
     slack: float
-    # (eta, LP objective, lp_iterations) per LP: the slack LP at eta = 1,
-    # then the target LPs in the order solved
+    # (eta, LP objective, lp_iterations) per LP: the slack LP at eta = 1
+    # when it runs (only when G0 is not a witness there), then the target
+    # LPs in the order solved
     history: list
     wall_time: float
 
@@ -175,32 +177,34 @@ class RefinementReport:
 # -- LP assembly -------------------------------------------------------------------
 
 
-def assemble_lp(
-    problem: EstimationProblem, eta: float, *, target: bool = False
-) -> tuple[lp.LPModel, dict]:
-    """Build an LP of the search at shift eta: vertex variables in [0, 1] and
-    one slack s on the ambiguity rows.
+@dataclass(frozen=True)
+class _FixedRows:
+    """What an estimate's LPs share at every shift, built once per problem.
 
-    The slack LP (the default) has s >= 0 and objective = s.  The target LP
-    (``target=True``) caps s at tol, adds a free variable t to every target
-    row as a uniform relaxation, and has objective = t.
+    ``shape`` and ``ambiguity`` are models over the node variables, with
+    their bounds, and the slack s >= 0: ``shape`` holds the monotone,
+    distribution and growth rows, ``ambiguity`` the ambiguity rows.  The
+    other fields are the target rows' inputs that do not depend on eta."""
 
-    Returns the model and a dictionary of row counts per constraint group,
-    with the slack variable's index and, for the target LP, t's index under
-    "target_index".
-    """
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    shape: lp.LPModel
+    ambiguity: lp.LPModel
+    counts: dict  # rows per group of ``shape`` and ``ambiguity``
+    node_bounds: tuple  # (lower, upper) of the node variables
+    # every cell's lower corner, (n_cells, m), and its upper corner's flat
+    # node index
+    cells: tuple
+    target_cap: np.ndarray  # min(F0(u_k), rho) per cell
+
+
+def _fixed_rows(problem: EstimationProblem) -> _FixedRows:
+    """The problem's ``_FixedRows``, built on first use and kept on it."""
+    if problem._lp_rows is not None:
+        return problem._lp_rows
     grid = problem.grid
     shape = problem.shape
-    rho = problem.rho
     m = grid.dim
     dims = grid.shape
     n_nodes = grid.n_nodes
-    dom = grid.domain
-
-    kind = "target-slack" if target else "min-slack"
-    model = lp.LPModel(name=f"{kind}(eta={eta:.6g})")
 
     # vertex variables; boundary flags become fixed bounds
     upper = np.ones(n_nodes)
@@ -209,27 +213,15 @@ def assemble_lp(
     lower = np.zeros(n_nodes)
     if shape.boundary_one:
         lower[-1] = upper[-1] = 1.0
-    model.add_variables(lower, upper)
-    s_idx = model.add_variable(lower=0.0, upper=problem.tol if target else math.inf,
-                               objective=0.0 if target else 1.0)
+    shape_rows, ambiguity_rows = lp.LPModel("shape rows"), lp.LPModel("ambiguity rows")
+    for model in (shape_rows, ambiguity_rows):
+        model.add_variables(lower, upper)
+        s_idx = model.add_variable()
 
-    counts = {
-        "monotone": 0,
-        "distribution": 0,
-        "growth": 0,
-        "target_lower": 0,
-        "target_upper": 0,
-        "ambiguity_lower": 0,
-        "ambiguity_upper": 0,
-        "slack_index": s_idx,
-    }
-    t_idx = None
-    if target:
-        t_idx = counts["target_index"] = model.add_variable(
-            lower=-math.inf, upper=math.inf, objective=1.0)
+    counts = dict.fromkeys(["monotone", "distribution", "growth"], 0)
 
     def add_rows(group: str, idx, cf, sense: str, rhs) -> None:
-        counts[group] += len(model.add_constraints(idx, cf, sense, rhs))
+        counts[group] += len(shape_rows.add_constraints(idx, cf, sense, rhs))
 
     # (a) monotonicity along every axis
     flat = np.arange(n_nodes).reshape(dims)  # flat node index per multi-index
@@ -239,11 +231,8 @@ def assemble_lp(
         add_rows("monotone", np.stack([lo_nodes, hi_nodes], axis=1),
                  np.broadcast_to([1.0, -1.0], (lo_nodes.size, 2)), "<=", 0.0)
 
-    # cell corner bookkeeping shared by (c), (e), (f)
     corners = grid.cell_corners()
-    u_flat = corners[:, -1]
     lower_pts, upper_pts = grid.cell_bounds()
-    n_cells = corners.shape[0]
 
     # (c) distribution condition: signed corner sum >= 0 per cell, over the
     # cell's corners in the grid module's corner order
@@ -264,49 +253,109 @@ def assemble_lp(
                      np.broadcast_to([-1.0, 1.0], (a.size, 2)), "<=",
                      (L * length).reshape(-1))
 
-    # (e)/(f) shift rows over every cell, each cell's lower row followed by
-    # its upper row, relaxed by the variable ``relax`` (t or s) if any:
-    #   F(clip(l_k + r)) + r [+ relax] >= min(anchor(u_k), rho)
-    #   anchor(clip(l_k + r)) + r [+ relax] >= min(F(u_k), rho), vacuous when
-    #   the constant side already reaches rho, else a cap F(u_k) [- relax] <= ...
-    def add_shift_rows(
-        anchor: GridFunction, radius: float, relax: int | None, tag: str
-    ) -> None:
-        probe = np.clip(lower_pts + radius, dom.lower, dom.upper)
-        w_nodes, w_vals = interpolation_weights(grid, probe)
-        anchor_at_u = np.atleast_1d(anchor.eval(upper_pts))
-        anchor_at_probe = anchor.interpolate(w_nodes, w_vals)
-        lower_rhs = np.minimum(anchor_at_u, rho) - radius
-        upper_rhs = anchor_at_probe + radius
-        keep = upper_rhs < rho
-        r_col = (np.empty((n_cells, 0), int) if relax is None
-                 else np.full((n_cells, 1), relax))
-        idx = np.hstack([w_nodes, r_col, u_flat[:, None], r_col])
-        cf = np.hstack([w_vals, np.ones_like(r_col), np.ones((n_cells, 1)),
-                        -np.ones_like(r_col)])
-        w_lower = w_nodes.shape[1] + r_col.shape[1]
-        entries = np.ones(idx.shape, dtype=bool)
-        # weights at round-off level add nothing to a row (HiGHS drops
-        # entries below its small_matrix_value, 1e-9, too)
-        entries[:, : w_nodes.shape[1]] = np.abs(w_vals) > _SMALL_WEIGHT
-        entries[:, w_lower:] = keep[:, None]
-        rows = np.stack([np.ones(n_cells, dtype=bool), keep], axis=1)
-        lengths = np.stack([np.count_nonzero(entries[:, :w_lower], axis=1),
-                            np.count_nonzero(entries[:, w_lower:], axis=1)],
-                           axis=1)[rows]
-        model.add_constraints(
-            idx[entries],
-            cf[entries],
-            np.broadcast_to([">=", "<="], rows.shape)[rows],
-            np.stack([lower_rhs, upper_rhs], axis=1)[rows],
-            row_ptr=np.concatenate([[0], np.cumsum(lengths)]),
-        )
-        counts[f"{tag}_lower"] += n_cells
-        counts[f"{tag}_upper"] += int(np.count_nonzero(keep))
+    def cap_at_top(anchor: GridFunction) -> np.ndarray:
+        return np.minimum(np.atleast_1d(anchor.eval(upper_pts)), problem.rho)
 
-    add_shift_rows(problem.F0, eta, t_idx, "target")
-    add_shift_rows(problem.G0, problem.delta, s_idx, "ambiguity")
+    cells = (lower_pts, corners[:, -1])
+    counts["ambiguity_lower"], counts["ambiguity_upper"] = _add_shift_rows(
+        ambiguity_rows, problem, cells, cap_at_top(problem.G0), problem.G0,
+        problem.delta, s_idx)
+    problem._lp_rows = _FixedRows(shape_rows, ambiguity_rows, counts, (lower, upper),
+                                  cells, cap_at_top(problem.F0))
+    return problem._lp_rows
 
+
+def _add_shift_rows(
+    model: lp.LPModel,
+    problem: EstimationProblem,
+    cells: tuple,
+    cap: np.ndarray,
+    anchor: GridFunction,
+    radius: float,
+    relax: int | None,
+) -> tuple[int, int]:
+    """Append the shift rows (e)/(f) of ``anchor`` at ``radius`` over every
+    cell, each cell's lower row followed by its upper row, relaxed by the
+    variable ``relax`` (t or s) if any:
+
+      F(clip(l_k + r)) + r [+ relax] >= min(anchor(u_k), rho)   (``cap``)
+      anchor(clip(l_k + r)) + r [+ relax] >= min(F(u_k), rho), vacuous when
+      the constant side already reaches rho, else a cap F(u_k) [- relax] <= ...
+
+    ``cells`` and ``cap`` are ``_FixedRows.cells`` and one anchor's
+    min(anchor(u_k), rho).  Returns the numbers of lower and upper rows."""
+    grid, dom = problem.grid, problem.grid.domain
+    lower_pts, u_flat = cells
+    n_cells = cap.size
+    probe = np.clip(lower_pts + radius, dom.lower, dom.upper)
+    w_nodes, w_vals = interpolation_weights(grid, probe)
+    anchor_at_probe = anchor.interpolate(w_nodes, w_vals)
+    lower_rhs = cap - radius
+    upper_rhs = anchor_at_probe + radius
+    keep = upper_rhs < problem.rho
+    r_col = (np.empty((n_cells, 0), int) if relax is None
+             else np.full((n_cells, 1), relax))
+    idx = np.hstack([w_nodes, r_col, u_flat[:, None], r_col])
+    cf = np.hstack([w_vals, np.ones_like(r_col), np.ones((n_cells, 1)),
+                    -np.ones_like(r_col)])
+    w_lower = w_nodes.shape[1] + r_col.shape[1]
+    entries = np.ones(idx.shape, dtype=bool)
+    # weights at round-off level add nothing to a row (HiGHS drops
+    # entries below its small_matrix_value, 1e-9, too)
+    entries[:, : w_nodes.shape[1]] = np.abs(w_vals) > _SMALL_WEIGHT
+    entries[:, w_lower:] = keep[:, None]
+    rows = np.stack([np.ones(n_cells, dtype=bool), keep], axis=1)
+    lengths = np.stack([np.count_nonzero(entries[:, :w_lower], axis=1),
+                        np.count_nonzero(entries[:, w_lower:], axis=1)],
+                       axis=1)[rows]
+    model.add_constraints(
+        idx[entries],
+        cf[entries],
+        np.broadcast_to([">=", "<="], rows.shape)[rows],
+        np.stack([lower_rhs, upper_rhs], axis=1)[rows],
+        row_ptr=np.concatenate([[0], np.cumsum(lengths)]),
+    )
+    return n_cells, int(np.count_nonzero(keep))
+
+
+def assemble_lp(
+    problem: EstimationProblem, eta: float, *, target: bool = False
+) -> tuple[lp.LPModel, dict]:
+    """Build an LP of the search at shift eta: vertex variables in [0, 1] and
+    one slack s on the ambiguity rows.
+
+    The slack LP (the default) has s >= 0 and objective = s.  The target LP
+    (``target=True``) caps s at tol, adds a free variable t to every target
+    row as a uniform relaxation, and has objective = t.  The rows come in
+    groups: monotone, distribution, growth, target, ambiguity.  Only the
+    target rows depend on eta; the others are built once per problem and
+    shared by every model.
+
+    Returns the model and a dictionary of row counts per constraint group,
+    with the slack variable's index and, for the target LP, t's index under
+    "target_index".
+    """
+    if not (0.0 <= eta <= 1.0):
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    fixed = _fixed_rows(problem)
+    kind = "target-slack" if target else "min-slack"
+    model = lp.LPModel(name=f"{kind}(eta={eta:.6g})")
+    model.add_variables(*fixed.node_bounds)
+    s_idx = model.add_variable(lower=0.0, upper=problem.tol if target else math.inf,
+                               objective=0.0 if target else 1.0)
+    t_idx = None
+    if target:
+        t_idx = model.add_variable(lower=-math.inf, upper=math.inf, objective=1.0)
+
+    model.add_rows_from(fixed.shape)
+    n_lower, n_upper = _add_shift_rows(model, problem, fixed.cells, fixed.target_cap,
+                                       problem.F0, eta, t_idx)
+    model.add_rows_from(fixed.ambiguity)
+
+    counts = dict(fixed.counts, target_lower=n_lower, target_upper=n_upper,
+                  slack_index=s_idx)
+    if target:
+        counts["target_index"] = t_idx
     return model, counts
 
 
@@ -354,6 +403,28 @@ def _witness(
     return float(x[n]), F
 
 
+def _anchor_witness(problem: EstimationProblem) -> np.ndarray | None:
+    """The point (G0, s_G) of the slack LP at eta = 1, clipped to its
+    variable bounds, where s_G is the least slack G0's ambiguity rows need;
+    None unless G0 meets that LP's other rows and s_G <= tol.
+
+    G0's bounds and shape rows are checked to HiGHS's feasibility tolerance.
+    The target rows at eta = 1 are not: the lower rows ask
+    F(clip(l_k + 1)) >= min(F0(u_k), rho) - 1 and the upper rows
+    F(u_k) <= F0(clip(l_k + 1)) + 1, so they hold for every F in [0, 1], F0
+    being in [0, 1] to that tolerance."""
+    fixed = _fixed_rows(problem)
+    lower, upper = fixed.shape.bounds
+    x = np.append(problem.G0.values.reshape(-1), 0.0)
+    if np.any(x < lower - lp._FEAS_TOL) or np.any(x > upper + lp._FEAS_TOL):
+        return None
+    x = np.clip(x, lower, upper)
+    if np.max(lp.constraint_residuals(fixed.shape, x), initial=0.0) > lp._FEAS_TOL:
+        return None
+    x[-1] = np.max(lp.constraint_residuals(fixed.ambiguity, x), initial=0.0)
+    return x if x[-1] <= problem.tol else None
+
+
 def min_slack(problem: EstimationProblem, eta: float) -> tuple[float, GridFunction]:
     """Least ambiguity slack at a fixed shift eta, with its witness function.
 
@@ -368,14 +439,17 @@ def estimate(problem: EstimationProblem) -> EstimateResult:
     (within tol), or eta = 1 with the positive residual slack when the
     ambiguity ball is too tight for the shape constraints.
 
-    The first LP is the slack LP at eta = 1; when its slack exceeds tol,
-    that is the answer.  Otherwise the target slack t(eta) (module
-    docstring) is finite on [0, 1] and falls with slope at most -1, and
-    ``slope_bounded_search`` brackets its root from lo = 0: the bracket
-    (lo, hi] has t(lo) > 0 and t(hi) <= 0, and the search stops once
-    hi - lo <= tol.  The answer is hi, or 0 when t(0) <= 0, and the
+    First the least slack at eta = 1 is settled.  The anchor G0 lies in its
+    own ball, so when it meets the shape rows and its ambiguity rows need a
+    slack s_G <= tol, G0 is a witness there and no LP runs.  Otherwise the
+    slack LP at eta = 1 runs; when its slack exceeds tol, that is the
+    answer.  Else the target slack t(eta) (module docstring) is finite on
+    [0, 1] and falls with slope at most -1, and ``slope_bounded_search``
+    brackets its root from lo = 0: the bracket (lo, hi] has t(lo) > 0 and
+    t(hi) <= 0, and the search stops once hi - lo <= tol.  The answer is hi, or 0 when t(0) <= 0, and the
     solution and slack are the target LP's optimum there.  Should rounding
-    leave t(1) > 0, the slack LP at eta = 1 is the answer.
+    leave t(1) > 0, the answer is eta = 1 with G0 and s_G when G0 is a
+    witness, else with the slack LP's optimum.
 
     The target LP at 0 starts cold; each later one starts HiGHS from the
     optimal basis of the target LP before it.  Consecutive target LPs
@@ -389,13 +463,17 @@ def estimate(problem: EstimationProblem) -> EstimateResult:
     returned optima off a monotone row by 1.4e-7.
 
     ``history`` lists every LP as (eta, objective, lp_iterations): the slack
-    LP at eta = 1 first, then the target LPs in the order solved.
+    LP at eta = 1 first when it runs, then the target LPs in the order
+    solved, the first at eta = 0.
     """
     t0 = time.perf_counter()
     tol = problem.tol
-    sol, x = _solve(problem, 1.0)
-    history = [(1.0, sol.objective, sol.iterations)]
-    best = (1.0, x)  # the shift and LP solution of the answer
+    history = []
+    x = _anchor_witness(problem)
+    if x is None:
+        sol, x = _solve(problem, 1.0)
+        history.append((1.0, sol.objective, sol.iterations))
+    best = (1.0, x)  # the shift and the point (F, s) of the answer
     s1 = x[problem.grid.n_nodes]
     if s1 > tol:
         logger.info(

@@ -10,9 +10,10 @@ with infinite bounds allowed.  ``LPModel`` stores rows in blocks of flat
 arrays (the entries of each row, in row order, with a length, sense and
 right-hand side per row): ``add_constraints`` appends K rows at once, either
 as (K, w) index and coefficient arrays or as flat arrays split by row
-pointers, and ``add_constraint`` is its one-row form.  Duplicate indices within a row are
-summed wherever the matrix is read.  The model, its dense view and
-``constraint_residuals`` need numpy only.
+pointers, and ``add_constraint`` is its one-row form; ``add_rows_from``
+appends another model's rows, sharing their arrays.  Duplicate indices
+within a row are summed wherever the matrix is read.  The model, its dense
+view and ``constraint_residuals`` need numpy only.
 
 ``solve`` runs HiGHS through SciPy (sparse and fast; every estimation LP
 goes there) or, on request, the bundled bounded-variable two-phase primal
@@ -61,6 +62,8 @@ __all__ = [
 
 SENSES = ("<=", ">=", "==")
 
+# HiGHS's primal feasibility tolerance: a row or bound violated by at most
+# this much holds
 _FEAS_TOL = 1e-9
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-11
@@ -178,6 +181,17 @@ class LPModel:
         self._blocks.append((lengths, idx, cf, codes, b))
         first = self._n_rows
         self._n_rows += k
+        return range(first, self._n_rows)
+
+    def add_rows_from(self, other: LPModel) -> range:
+        """Append every row of ``other``, whose variables are this model's
+        first ``other.n_variables``; returns the new row indices.  The row
+        arrays are shared, not copied: no model changes them in place."""
+        if other.n_variables > self.n_variables:
+            raise ValueError("rows reference variables this model does not have")
+        self._blocks.extend(other._blocks)
+        first = self._n_rows
+        self._n_rows += other._n_rows
         return range(first, self._n_rows)
 
     # -- views -------------------------------------------------------------
@@ -496,7 +510,7 @@ def _run_highs(core, lp, max_iterations: int, presolve: bool, basis=None):
     options.presolve = "on" if presolve else "off"
     options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = options.output_flag = False
-    options.primal_feasibility_tolerance = 1e-9
+    options.primal_feasibility_tolerance = _FEAS_TOL
     options.dual_feasibility_tolerance = 1e-9
     options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.simplex_iteration_limit = options.ipm_iteration_limit = max_iterations

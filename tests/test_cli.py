@@ -71,10 +71,18 @@ def test_estimate_end_to_end(tmp_path):
     assert 0.0 <= run["eta"] <= 1.0
     assert run["slack"] <= 1e-6
     assert len(run["expected_value"]) == 2
+    # G0 is a witness at eta = 1, so no slack LP runs: the target search
+    # starts at eta = 0
     first, *targets = run["history"]
-    assert (first["eta"], first["kind"]) == (1.0, "slack")
+    assert (first["eta"], first["kind"]) == (0.0, "target")
     assert targets and {h["kind"] for h in targets} == {"target"}
     assert set(first) == {"eta", "kind", "objective", "lp_iterations"}
+    # a ball too tight for G0 itself: the slack LP runs, and it is the answer
+    tight = write_config(tmp_path / "tight.json", delta=1e-4)
+    assert main(["estimate", "--config", str(tight), "--out",
+                 str(tmp_path / "tight"), "--quiet"]) == 0
+    (run_tight,) = read_json(tmp_path / "tight" / "result.json")["runs"]
+    assert [(h["eta"], h["kind"]) for h in run_tight["history"]] == [(1.0, "slack")]
     # the saved solution round-trips bit-exact
     sol = load_grid_function(str(out / run["files"]["solution"]))
     assert sol.monotone and sol.order == 1

@@ -204,26 +204,35 @@ def _equivalence_cases():
             (equal_widths, 0.2)]
 
 
+def assert_matches_reference(problem, eta, target, model, counts):
+    rows, (lower, upper), ref_counts = reference_lp(problem, eta, target)
+    row_ptr, idx, cf, codes, rhs = model.row_arrays()
+    assert np.array_equal(row_ptr, np.cumsum([0] + [len(r[0]) for r in rows]))
+    assert np.array_equal(idx, np.concatenate([r[0] for r in rows]).astype(np.int64))
+    assert np.array_equal(cf, np.concatenate([r[1] for r in rows]))
+    assert [SENSES[c] for c in codes] == [r[2] for r in rows]
+    assert np.array_equal(rhs, [r[3] for r in rows])
+    lo, hi = model.bounds
+    assert np.array_equal(lo, lower) and np.array_equal(hi, upper)
+    assert counts == ref_counts
+    objective = [0.0, 1.0] if target else [1.0]
+    assert model.objective.tolist() == [0.0] * problem.grid.n_nodes + objective
+    assert [r.indices.tolist() for r in model.rows()] == [list(r[0]) for r in rows]
+
+
 @pytest.mark.parametrize("case", range(5), ids=["1d-growth", "2d-growth",
                                                  "2d-partly-capped", "capped",
                                                  "equal-widths"])
 def test_assembly_matches_row_by_row_reference(case):
+    # one problem assembled several times in a row, as a search does, and
+    # only then read: the rows that do not depend on eta are built once and
+    # shared, so a probe or a read that changed them would show in a model
     problem, eta = _equivalence_cases()[case]
-    for target in (False, True):
-        rows, (lower, upper), ref_counts = reference_lp(problem, eta, target)
-        model, counts = assemble_lp(problem, eta, target=target)
-        row_ptr, idx, cf, codes, rhs = model.row_arrays()
-        assert np.array_equal(row_ptr, np.cumsum([0] + [len(r[0]) for r in rows]))
-        assert np.array_equal(idx, np.concatenate([r[0] for r in rows]).astype(np.int64))
-        assert np.array_equal(cf, np.concatenate([r[1] for r in rows]))
-        assert [SENSES[c] for c in codes] == [r[2] for r in rows]
-        assert np.array_equal(rhs, [r[3] for r in rows])
-        lo, hi = model.bounds
-        assert np.array_equal(lo, lower) and np.array_equal(hi, upper)
-        assert counts == ref_counts
-        objective = [0.0, 1.0] if target else [1.0]
-        assert model.objective.tolist() == [0.0] * problem.grid.n_nodes + objective
-        assert [r.indices.tolist() for r in model.rows()] == [list(r[0]) for r in rows]
+    probes = [(eta, False), (eta, True), (0.5 * eta, True), (eta, False)]
+    built = [(eta_k, target, *assemble_lp(problem, eta_k, target=target))
+             for eta_k, target in probes]
+    for eta_k, target, model, counts in built:
+        assert_matches_reference(problem, eta_k, target, model, counts)
 
 
 def test_highs_agrees_with_reference_simplex_on_estimator_lps():
@@ -271,8 +280,10 @@ def test_estimate_two_uniforms_small(two_uniforms_10):
     assert res.slack <= 1e-6
     ev = expected_value(res.solution, neg_tol=1e-6)
     assert np.all(ev > 1.0) and np.all(ev < 1.6)  # pulled toward the anchor
-    # history records the slack LP at eta=1 first, then the target LPs
-    assert res.history[0][0] == 1.0
+    # G0 meets the shape rows and lies in its own ball, so no slack LP runs:
+    # history records the target LPs only, the first at eta = 0
+    assert res.history[0][0] == 0.0
+    assert all(0.0 < eta <= 1.0 for eta, _, _ in res.history[1:])
     assert res.wall_time > 0
     assert shape_violation(prob, res.solution) <= 1e-8
 
@@ -306,6 +317,44 @@ def test_saturated_delta_reports_positive_slack(two_uniforms_10):
     assert res.eta == 1.0
     assert res.slack > 1e-6
     assert len(res.history) == 1
+    assert res.history[0][0] == 1.0
+
+
+def test_slack_lp_runs_when_anchor_breaks_a_shape_row(two_uniforms_10):
+    # a growth bound of 1 lies below the slope 1.7 of G0's steepest edge, a
+    # diagonal, so G0 is no witness at eta = 1: the slack LP runs first, and
+    # the target search after it ends at its frozen eta
+    F0, G0 = two_uniforms_10
+    prob = EstimationProblem(F0, G0, 0.7, shape=ShapeConstraints(bounded_growth=1.0))
+    assert shape_violation(prob, G0) > 0.2
+    res = estimate(prob)
+    (eta1, s1, _), (eta0, _, _), *_ = res.history
+    assert (eta1, eta0) == (1.0, 0.0) and s1 <= prob.tol
+    assert res.eta == pytest.approx(0.29999998999999994, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cells=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    delta=st.floats(0.0, 1.0),
+)
+def test_skipped_slack_lp_has_slack_within_tol(seed, cells, delta):
+    # estimate skips the slack LP at eta = 1 only when G0 is a witness there,
+    # so that LP's least slack is at most tol whenever it is skipped
+    from tests.conftest import random_monotone
+
+    rng = np.random.default_rng(seed)
+    g = build_grid(Domain([0.0, 0.0], [1.0, 1.0]), [c + 1 for c in cells])
+    # full mass, so that G0 can meet the pin v(b) = 1
+    F0, G0 = (random_monotone(rng, g) for _ in range(2))
+    F0, G0 = (GridFunction(g, 1, f.values / f.values.max(), monotone=True)
+              for f in (F0, G0))
+    prob = EstimationProblem(F0, G0, delta)
+    res = estimate(prob)
+    if res.history[0][0] != 1.0:
+        assert res.history[0][0] == 0.0
+        assert min_slack(prob, 1.0)[0] <= prob.tol
 
 
 def test_surrogate_invariants(two_uniforms_10):
@@ -481,15 +530,15 @@ def test_search_matches_reference_bisection_on_random_pairs(seed, cells, share):
 
 
 def assert_target_chain(res, tol):
-    """The LPs of an estimate that reached the target search: the slack LP
-    at eta = 1, the target LP at 0 with t > 0, then a bracket whose upper
-    end, the answer, is the least probe with t <= 0 and lies within tol of
-    the greatest probe with t > 0."""
-    (eta1, _, _), (eta0, t0, _), *rest = res.history
-    assert (eta1, eta0) == (1.0, 0.0) and t0 > 0.0
-    targets = res.history[1:]
-    assert res.eta == min(eta for eta, t, _ in targets if t <= 0.0)
-    assert res.eta - max(eta for eta, t, _ in targets if t > 0.0) <= tol
+    """The LPs of an estimate whose anchor G0 is a witness at eta = 1, so
+    that no slack LP runs: the target LP at 0 with t > 0, then a bracket in
+    (0, 1] whose upper end, the answer, is the least probe with t <= 0 and
+    lies within tol of the greatest probe with t > 0."""
+    (eta0, t0, _), *rest = res.history
+    assert eta0 == 0.0 and t0 > 0.0
+    assert rest and all(0.0 < eta <= 1.0 for eta, _, _ in rest)
+    assert res.eta == min(eta for eta, t, _ in res.history if t <= 0.0)
+    assert res.eta - max(eta for eta, t, _ in res.history if t > 0.0) <= tol
 
 
 def test_search_probe_count(two_uniforms_10):
@@ -498,7 +547,7 @@ def test_search_probe_count(two_uniforms_10):
     prob = EstimationProblem(*two_uniforms_10, 0.7)
     res = estimate(prob)
     assert_target_chain(res, prob.tol)
-    assert len(res.history) <= 10
+    assert len(res.history) <= 9
 
 
 def test_eta0_search_probe_count(two_uniforms_10):
@@ -508,7 +557,7 @@ def test_eta0_search_probe_count(two_uniforms_10):
     prob = EstimationProblem(*two_uniforms_10, 1.0)
     res = estimate(prob)
     assert_target_chain(res, prob.tol)
-    assert len(res.history) <= 12
+    assert len(res.history) <= 11
 
 
 def target_slack(problem, eta):
@@ -558,8 +607,11 @@ def test_warm_probe_sequence_matches_cold_solves(two_uniforms_10, caplog):
     # basis of the one before, reach the same t as cold solves
     prob = EstimationProblem(*two_uniforms_10, 0.7)
     with caplog.at_level("DEBUG", logger="hypodist.lp"):
-        etas = [h[0] for h in estimate(prob).history[1:]]
-    # rho > 2 here, so every target LP after the first can start warm
+        etas = [h[0] for h in estimate(prob).history]
+    # G0 is a witness at eta = 1, so every LP is a target LP, the first at
+    # eta = 0; rho > 2 here, so every one after the first can start warm
+    assert etas[0] == 0.0
+    assert caplog.text.count("LP min-slack") == 0
     assert caplog.text.count("start=warm\n") == len(etas) - 1
     caplog.clear()
     basis, warm_its, cold_its = None, 0, 0

@@ -141,6 +141,13 @@ def test_model_validation():
         m.add_constraints([x, y, x], [1.0, 1.0, 1.0], "<=", [1.0, 1.0],
                           row_ptr=[0, 1, 2])
     assert m.n_constraints == 2
+    wider = LPModel()
+    wider.add_variables([0.0] * 3, [1.0] * 3)
+    with pytest.raises(ValueError):  # rows over variables m does not have
+        m.add_rows_from(wider)
+    assert m.n_constraints == 2
+    wider.add_rows_from(m)
+    assert np.array_equal(wider.dense_matrix()[0][:, :2], m.dense_matrix()[0])
 
 
 def test_methods_agree_on_random_instances():
