@@ -288,6 +288,18 @@ def test_estimate_two_uniforms_small(two_uniforms_10):
     assert shape_violation(prob, res.solution) <= 1e-8
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("delta", [0.7, 0.4, 0.1])
+def test_two_uniforms_eta_within_tol_below_one_minus_delta(delta, tol):
+    # the paper's two uniforms give eta = 1 - delta; the search stops within
+    # tol below it, whatever pivots the solver takes (at 10 cells per axis
+    # delta 0.1 saturates instead)
+    sc = two_uniforms_scenario(cells_per_axis=20)
+    g = build_grid(sc.domain, 21)
+    res = estimate(EstimationProblem(realize(sc.F0, g), realize(sc.G0, g), delta, tol=tol))
+    assert 1 - delta - tol - 1e-12 <= res.eta <= 1 - delta
+
+
 def test_eta_nonincreasing_in_delta(two_uniforms_10):
     F0, G0 = two_uniforms_10
     etas = []
@@ -328,9 +340,19 @@ def test_slack_lp_runs_when_anchor_breaks_a_shape_row(two_uniforms_10):
     prob = EstimationProblem(F0, G0, 0.7, shape=ShapeConstraints(bounded_growth=1.0))
     assert shape_violation(prob, G0) > 0.2
     res = estimate(prob)
-    (eta1, s1, _), (eta0, _, _), *_ = res.history
+    (eta1, s1, _), (eta0, _, _), *targets = res.history
     assert (eta1, eta0) == (1.0, 0.0) and s1 <= prob.tol
-    assert res.eta == pytest.approx(0.29999998999999994, abs=1e-12)
+    # the search probes the threshold 1 - delta - tol = 0.29999999 itself,
+    # where the true t is 0; the pivot path's side of that tie sets the
+    # answer: t = 5.5e-16 there gives 0.299999995, t = 0.0 gave the lower
+    # end 0.29999998999999994
+    assert res.eta == pytest.approx(0.299999995, abs=1e-12)
+    # whichever side the solver takes, a bracket of width at most tol
+    # around the threshold ends at the answer
+    lo = max(eta for eta, t, _ in targets if t > 0.0)
+    assert all(t <= 0.0 for eta, t, _ in targets if eta == res.eta)
+    assert res.eta - lo <= prob.tol
+    assert lo - 1e-12 <= 0.29999999 <= res.eta + 1e-12
 
 
 @settings(max_examples=40, deadline=None)
