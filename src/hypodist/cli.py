@@ -39,12 +39,12 @@ from .estimator import (
 )
 from .functions import (
     DiracPoint,
-    EmpiricalSamples,
     GridFunction,
     Mixture,
     UniformBox,
     _axis_header,
     _csv_rows,
+    _in_domain,
     _write_rows,
     cell_masses,
     empirical_cdf,
@@ -177,8 +177,9 @@ _SPEC_KINDS = {"uniform_box", "dirac", "mixture", "samples"}
 _SOURCE_KINDS = _SPEC_KINDS | {"samples_csv", "grid_function"}
 
 
-def _parse_spec(obj, where: str):
-    """CdfSpec kinds only (no file references) — used inside mixtures too."""
+def _parse_spec(obj, where: str, grid: Grid):
+    """CdfSpec kinds only (no file references) — used inside mixtures too.
+    Samples must lie inside the grid's domain, wherever they appear."""
     if not isinstance(obj, dict):
         _fail(where, "source must be an object with a 'kind'")
     kind = obj.get("kind")
@@ -196,7 +197,7 @@ def _parse_spec(obj, where: str):
         if not isinstance(pts, list) or not pts:
             _fail(where, "points must be a non-empty list of coordinate lists")
         rows = [_float_list(p, f"{where}.points[{i}]") for i, p in enumerate(pts)]
-        return EmpiricalSamples(np.asarray(rows, dtype=float))
+        return _in_domain(np.asarray(rows, dtype=float), grid)
     if kind == "mixture":
         _check_keys(obj, where, {"kind", "components", "weights"},
                     {"components", "weights"})
@@ -204,7 +205,8 @@ def _parse_spec(obj, where: str):
         if not isinstance(comps, list) or not comps:
             _fail(where, "components must be a non-empty list")
         parsed = [
-            _parse_spec(c, f"{where}.components[{i}]") for i, c in enumerate(comps)
+            _parse_spec(c, f"{where}.components[{i}]", grid)
+            for i, c in enumerate(comps)
         ]
         weights = _float_list(obj["weights"], f"{where}.weights", length=len(parsed))
         return Mixture(tuple(parsed), tuple(weights))
@@ -237,8 +239,7 @@ def _resolve_source(obj, where: str, grid: Grid, base_dir: str) -> GridFunction:
             path = obj["path"]
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
-            points = _read_samples_csv(path, where)
-            return empirical_cdf(points, grid)
+            return empirical_cdf(_read_samples_csv(path, where), grid)
         if kind == "grid_function":
             _check_keys(obj, where, {"kind", "path"}, {"path"})
             path = obj["path"]
@@ -253,8 +254,7 @@ def _resolve_source(obj, where: str, grid: Grid, base_dir: str) -> GridFunction:
             if f.grid.domain != grid.domain:
                 _fail(where, f"{path}: domain differs from the config domain")
             return resample(f, grid)
-        spec = _parse_spec(obj, where)
-        return realize(spec, grid)
+        return realize(_parse_spec(obj, where, grid), grid)
     except ConfigError:
         raise
     except ValueError as e:
@@ -413,7 +413,11 @@ def _usable_cpus() -> int:
 def _map_until_failure(fn, items: list, workers: int) -> list:
     """``fn`` over ``items`` on ``workers`` threads, the calling thread one of
     them, so one worker is a plain loop.  Items are taken in order; once an
-    item raises, no later item is started.
+    item raises, no later item is started.  The calling thread works rather
+    than waits because a ``ThreadPoolExecutor``, with a thread for every
+    worker, raised the peak memory of the 3-delta estimate-uuv benchmark
+    ladder by about 3 MB (unverified cause: likely the extra thread's malloc
+    arena).
 
     Returns (result, exception) per item, in item order, up to the first
     item that raised, which ends the list.  The threads overlap only where

@@ -349,6 +349,12 @@ def empirical_cdf(samples: EmpiricalSamples | np.ndarray, grid: Grid) -> GridFun
 
     Node values are exact counts; samples must lie inside the grid's domain.
     """
+    return realize(_in_domain(samples, grid), grid)
+
+
+def _in_domain(samples: EmpiricalSamples | np.ndarray, grid: Grid) -> EmpiricalSamples:
+    """The sample as ``EmpiricalSamples``, checked to have the grid's
+    dimension and to lie inside its domain."""
     if not isinstance(samples, EmpiricalSamples):
         samples = EmpiricalSamples(samples)
     if samples.dim != grid.dim:
@@ -356,7 +362,7 @@ def empirical_cdf(samples: EmpiricalSamples | np.ndarray, grid: Grid) -> GridFun
     lo, hi = grid.domain.lower, grid.domain.upper
     if np.any(samples.points < lo) or np.any(samples.points > hi):
         raise ValueError("samples outside the domain; clip or enlarge the domain first")
-    return realize(samples, grid)
+    return samples
 
 
 def upper_envelope(f: GridFunction) -> GridFunction:

@@ -339,18 +339,13 @@ def refine(grid: Grid, factor: int) -> Grid:
     factor = int(factor)
     if factor < 1:
         raise ValueError(f"refinement factor must be >= 1, got {factor}")
-    if factor == 1:
-        return Grid(grid.domain, [a.copy() for a in grid.axes])
-    new_axes = []
-    for a in grid.axes:
-        pieces = [a[:1]]
-        for left, right in zip(a[:-1], a[1:]):
-            # keep original nodes bit-exact; only interior points are new
-            interior = left + (right - left) * np.arange(1, factor) / factor
-            pieces.append(interior)
-            pieces.append(np.array([right]))
-        new_axes.append(np.concatenate(pieces))
-    return Grid(grid.domain, new_axes)
+    # cell k's points are left + (right - left) * j / factor, j < factor:
+    # j = 0 keeps the original nodes bit-exact, and the last node follows
+    return Grid(grid.domain, [
+        np.append(a[:-1, None] + (a[1:] - a[:-1])[:, None] * np.arange(factor) / factor,
+                  a[-1])
+        for a in grid.axes
+    ])
 
 
 def mesh_size(grid: Grid) -> float:

@@ -553,14 +553,15 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
     needs more has lost its way, and a cold run is faster then.  When HiGHS
     rejects the basis, stops at that limit or ends outside the known
     statuses, the model is solved cold, as without a basis: with presolve,
-    then without it if presolve ends outside the known statuses."""
+    then without it if presolve ends outside the known statuses.  The
+    solution's iteration count then includes the failed warm run's."""
     try:
         import scipy.optimize._highspy._core as core
     except ImportError as exc:
         raise SolverError(f"{exc}: the HiGHS solver needs SciPy >= 1.15") from exc
     lp = _highs_lp(core, model)
     shape = (model.n_constraints, model.n_variables)
-    status, start = None, "cold"
+    status, start, wasted = None, "cold", 0
     if basis is not None and basis[0] == shape:
         status, highs, nit, message = _run_highs(
             core, lp, min(max_iterations, sum(shape)), presolve=False, basis=basis[1]
@@ -568,7 +569,7 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
         start = "warm"
         if status in (None, "iteration_limit"):
             # free the failed run's HiGHS instance before the cold one is built
-            status, start, highs = None, "warm, cold retry", None
+            status, start, highs, wasted = None, "warm, cold retry", None, nit
             logger.debug("re-solving LP cold: %s", message)
     if status is None:
         status, highs, nit, message = _run_highs(core, lp, max_iterations, True)
@@ -578,6 +579,7 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
         logger.debug("retrying LP without presolve: %s", message)
         highs = None
         status, highs, nit, message = _run_highs(core, lp, max_iterations, False)
+    nit += wasted
     if status is None:
         raise SolverError(f"LP backend failed: {message}")
     if status != "optimal":

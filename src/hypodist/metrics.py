@@ -8,7 +8,8 @@ to fast-and-certified:
 * ``point_hypo_dist`` - distance from one test point (x, x0) to the hypograph
   {(y, y0) : y in S, y0 <= f(y)}.  Two routes: a geometric per-piece
   minimization that enumerates candidate minimizers on every linear piece of
-  the graph, and a root-scan that exploits monotonicity,
+  the graph (one per Kuhn simplex, in any dimension), and a root-scan that
+  exploits monotonicity,
 
       dist((x, x0), hypo f) = inf{t >= 0 : f(min(x + t, b)) + t >= x0},
 
@@ -663,113 +664,53 @@ def _monotone_dist(f: GridFunction, X: np.ndarray, x0: np.ndarray) -> np.ndarray
 # -- geometric per-piece distance ----------------------------------------------------
 
 
-def _point_dist_1d_geometric(f: GridFunction, x: float, x0: float) -> float:
-    axis = f.grid.axes[0]
-    vals = f.values
-    yl, yr = axis[:-1], axis[1:]
-    vl, vr = vals[:-1], vals[1:]
-    d = (vr - vl) / (yr - yl)
-    c = vl  # value at yl
+def _point_dist_geometric(f: GridFunction, x: np.ndarray, x0: float) -> float:
+    """dist((x, x0), hypo f) = min over y in S of max(||x - y||, x0 - f(y), 0),
+    taken over the Kuhn simplices of f's grid, any m.
 
-    cands = [yl, yr, np.full_like(yl, x)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hinge = yl + (x0 - c) / d
-        bal1 = (x + x0 - c + d * yl) / (1.0 + d)
-        bal2 = np.where(np.abs(d - 1.0) > _TINY, (x0 - x - c + d * yl) / (d - 1.0), yl)
-    for arr in (hinge, bal1, bal2):
-        cands.append(np.where(np.isfinite(arr), arr, yl))
-    best = math.inf
-    for arr in cands:
-        y = np.clip(arr, yl, yr)
-        fy = c + d * (y - yl)
-        D = np.maximum(np.abs(x - y), np.maximum(x0 - fy, 0.0))
-        best = min(best, float(np.min(D)))
-    return best
-
-
-def _point_dist_2d_geometric(f: GridFunction, x: np.ndarray, x0: float) -> float:
+    On a simplex f(y) = a.y + c, and the distance is the LP min s with
+    s >= +-(y_i - x_i), s >= x0 - a.y - c, s >= 0 and y in the simplex.  At
+    an optimal vertex m + 1 of its rows are tight; one tight row in s taken
+    from the others leaves m hyperplanes in y, from y_i = x_i,
+    y_i -+ y_j = x_i -+ x_j, a.y + c = x0, a.y + c +- (y_i - x_i) = x0 and
+    the facets.  Every m-subset of them with a nonzero determinant is
+    solved, and its point is kept when it lies in the simplex.  That is
+    C((m + 1)(m + 2), m) points per simplex, all held at once: a reference
+    for small grids."""
     grid = f.grid
+    m = grid.dim
     tris = grid.triangles()
-    nodes = grid.node_lattice()
-    vals = f.values.reshape(-1)
-    P = nodes[tris]  # (T, 3, 2)
-    V = vals[tris]  # (T, 3)
-
-    # plane f(y) = a . y + c per triangle
-    e1 = P[:, 1] - P[:, 0]
-    e2 = P[:, 2] - P[:, 0]
-    dv1 = V[:, 1] - V[:, 0]
-    dv2 = V[:, 2] - V[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    ax = (dv1 * e2[:, 1] - dv2 * e1[:, 1]) / det
-    ay = (dv2 * e1[:, 0] - dv1 * e2[:, 0]) / det
-    a = np.stack([ax, ay], axis=1)
-    c = V[:, 0] - np.einsum("ti,ti->t", a, P[:, 0])
-
+    P = grid.node_lattice()[tris]  # (T, m + 1, m)
+    V = f.values.reshape(-1)[tris]  # (T, m + 1)
+    # barycentric map: [y, 1] @ B = lambda, so the plane of f is B @ V and
+    # facet k is the column B[:, k] = 0
+    B = np.linalg.inv(np.concatenate([P, np.ones_like(P[..., :1])], axis=2))
+    plane = B @ V[..., None]  # (T, m + 1, 1)
+    a, c = plane[:, :m], plane[:, m]
+    eye = np.eye(m)
+    i, j = np.triu_indices(m, 1)
+    box = np.concatenate([eye, eye[i] - eye[j], eye[i] + eye[j]])
+    shifts = np.concatenate([np.zeros((1, m)), eye, -eye])
     nt = P.shape[0]
-    # 12 candidate lines per triangle: coeff . y = offset
-    coeff = np.empty((nt, 12, 2))
-    off = np.empty((nt, 12))
-    coeff[:, 0] = [1.0, 0.0]
-    off[:, 0] = x[0]
-    coeff[:, 1] = [0.0, 1.0]
-    off[:, 1] = x[1]
-    coeff[:, 2] = [1.0, -1.0]
-    off[:, 2] = x[0] - x[1]
-    coeff[:, 3] = [1.0, 1.0]
-    off[:, 3] = x[0] + x[1]
-    coeff[:, 4] = a
-    off[:, 4] = x0 - c
-    # balance lines: +-(y_i - x_i) = x0 - a.y - c
-    coeff[:, 5] = a + np.array([1.0, 0.0])
-    off[:, 5] = x0 - c + x[0]
-    coeff[:, 6] = a - np.array([1.0, 0.0])
-    off[:, 6] = x0 - c - x[0]
-    coeff[:, 7] = a + np.array([0.0, 1.0])
-    off[:, 7] = x0 - c + x[1]
-    coeff[:, 8] = a - np.array([0.0, 1.0])
-    off[:, 8] = x0 - c - x[1]
-    # edge lines
-    for k in range(3):
-        p = P[:, k]
-        q = P[:, (k + 1) % 3]
-        e = q - p
-        coeff[:, 9 + k, 0] = -e[:, 1]
-        coeff[:, 9 + k, 1] = e[:, 0]
-        off[:, 9 + k] = -e[:, 1] * p[:, 0] + e[:, 0] * p[:, 1]
-
-    pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
-    pi = np.array([p[0] for p in pairs])
-    pj = np.array([p[1] for p in pairs])
-    A1 = coeff[:, pi]  # (T, 66, 2)
-    A2 = coeff[:, pj]
-    b1 = off[:, pi]
-    b2 = off[:, pj]
-    det2 = A1[..., 0] * A2[..., 1] - A1[..., 1] * A2[..., 0]
-    ok = np.abs(det2) > _TINY
-    det_safe = np.where(ok, det2, 1.0)
-    yx = (b1 * A2[..., 1] - b2 * A1[..., 1]) / det_safe
-    yy = (A1[..., 0] * b2 - A2[..., 0] * b1) / det_safe
-    cand = np.concatenate(
-        [np.stack([yx, yy], axis=-1), P], axis=1
-    )  # (T, 69, 2)
-    valid = np.concatenate([ok, np.ones((nt, 3), dtype=bool)], axis=1)
-
-    # barycentric inside-test
-    d0 = cand - P[:, None, 0]
-    denom = det[:, None]
-    s = (d0[..., 0] * e2[:, None, 1] - d0[..., 1] * e2[:, None, 0]) / denom
-    t = (e1[:, None, 0] * d0[..., 1] - e1[:, None, 1] * d0[..., 0]) / denom
-    inside = (s >= -1e-9) & (t >= -1e-9) & (s + t <= 1.0 + 1e-9)
-    valid &= inside
-
-    fy = np.einsum("ti,tki->tk", a, cand) + c[:, None]
-    D = np.maximum(
-        np.max(np.abs(cand - x[None, None, :]), axis=-1),
-        np.maximum(x0 - fy, 0.0),
-    )
-    D = np.where(valid, D, np.inf)
-    return float(np.min(D))
+    coeff = np.concatenate([  # ties of ||x - y||, level and balance planes, facets
+        np.broadcast_to(box, (nt, *box.shape)),
+        a.transpose(0, 2, 1) + shifts,
+        B[:, :m].transpose(0, 2, 1),
+    ], axis=1)
+    off = np.concatenate([
+        np.broadcast_to(box @ x, (nt, box.shape[0])),
+        x0 - c + shifts @ x,
+        -B[:, m],
+    ], axis=1)
+    subsets = np.array(list(itertools.combinations(range(coeff.shape[1]), m)))
+    A = coeff[:, subsets]  # (T, K, m, m)
+    ok = np.abs(np.linalg.det(A)) > _TINY
+    y = np.linalg.solve(np.where(ok[..., None, None], A, eye),
+                        off[:, subsets][..., None])[..., 0]  # (T, K, m)
+    ok &= np.all(y @ B[:, :m] + B[:, None, m] >= -1e-9, axis=2)
+    fy = (y @ a)[..., 0] + c
+    D = np.maximum(np.max(np.abs(y - x), axis=2), np.maximum(x0 - fy, 0.0))
+    return float(np.min(D[ok]))
 
 
 def point_hypo_dist(
@@ -801,11 +742,7 @@ def point_hypo_dist(
             raise ValueError("the scan method requires x inside the domain")
         return float(_monotone_dist(f, x[None, :], np.array([[x0]]))[0, 0])
     if method == "geometric":
-        if f.grid.dim == 1:
-            return _point_dist_1d_geometric(f, float(x[0]), x0)
-        if f.grid.dim == 2:
-            return _point_dist_2d_geometric(f, x, x0)
-        raise ValueError("geometric distances are implemented for m in {1, 2}")
+        return _point_dist_geometric(f, x, x0)
     raise ValueError(f"unknown method {method!r}")
 
 

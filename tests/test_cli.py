@@ -689,11 +689,21 @@ def test_inline_samples_match_samples_csv(tmp_path):
     {"kind": "samples_csv", "path": "pts.csv"},
     {"kind": "samples", "points": [[0.5, 0.5], [math.nan, 1.0], [2.0, 2.0]]},
     {"kind": "dirac", "point": [math.nan, 0.0]},
+    {"kind": "samples_csv", "path": "out.csv"},
+    {"kind": "samples", "points": [[0.5, 0.5], [3.5, 1.0]]},
+    {"kind": "samples", "points": [[0.5, 0.5], [-0.5, 1.0]]},
+    {"kind": "mixture", "weights": [0.5, 0.5], "components": [
+        {"kind": "dirac", "point": [1.0, 1.0]},
+        {"kind": "samples", "points": [[0.5, 3.5]]},
+    ]},
 ])
 def test_nan_coordinates_are_config_errors(tmp_path, capsys, source):
     # a NaN sample counts in N but lies below no node; a NaN point mass
-    # gives a CDF that is zero everywhere
+    # gives a CDF that is zero everywhere.  A sample outside the domain is
+    # an error too, wherever it comes from: a CSV file, an inline list or a
+    # mixture component
     (tmp_path / "pts.csv").write_text("x1,x2\n0.5,0.5\nnan,1.0\n2.0,2.0\n")
+    (tmp_path / "out.csv").write_text("x1,x2\n0.5,0.5\n3.5,1.0\n")
     cfg = write_config(tmp_path / "run.json", F0=source)
     assert main(["estimate", "--config", str(cfg), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 1

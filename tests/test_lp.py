@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -308,7 +310,8 @@ def test_failed_warm_solve_falls_back_to_cold(monkeypatch, caplog):
 
 def test_warm_run_at_its_budget_falls_back_to_cold(monkeypatch, caplog):
     # a warm run may take rows + columns iterations; one that stops there is
-    # re-solved cold, with the cold solve's status and objective
+    # re-solved cold, with the cold solve's status and objective, and the
+    # stopped run's iterations count on top of the cold run's
     from hypodist import lp
 
     models = random_models(61)
@@ -328,8 +331,10 @@ def test_warm_run_at_its_budget_falls_back_to_cold(monkeypatch, caplog):
     warm = [m for m, b in zip(models, bases) if b is not None]
     assert warm and budgets == [m.n_constraints + m.n_variables for m in warm]
     assert caplog.text.count("start=warm, cold retry") == len(warm)
-    for a, b in zip(cold, retried):
-        assert same_solution(a, b)
+    budget = {id(m): m.n_constraints + m.n_variables for m in warm}
+    for m, a, b in zip(models, cold, retried):
+        assert b.iterations == a.iterations + budget.get(id(m), 0)
+        assert same_solution(a, dataclasses.replace(b, iterations=a.iterations))
 
 
 def test_concurrent_solves_match_sequential_ones():

@@ -87,18 +87,20 @@ def test_oracle_scan_vs_geometric(dirac_pair):
         assert a == pytest.approx(b, abs=1e-10)
 
 
-@pytest.mark.parametrize("uniform", [True, False])
-def test_scan_vs_geometric_2d(rng, uniform):
-    # h1 != h2, so the scan ray crosses cell diagonals between breakpoints
+@pytest.mark.parametrize("kind", ["uniform", "non-uniform", "3-d"])
+def test_scan_vs_geometric(rng, kind):
+    # h1 != h2, so the scan ray crosses cell diagonals between breakpoints;
+    # in 3-d the geometric route solves 1,140 hyperplane triples per simplex,
+    # so its grids stay at 3 cells per axis or fewer
     for _ in range(3):
-        if uniform:
+        if kind == "uniform":
             axes = [np.linspace(0.0, 3.0, 7), np.linspace(0.0, 2.0, 6)]
         else:
             axes = [np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, c))])
-                    for c in (5, 4)]
-        grid = Grid(Domain([0.0, 0.0], [a[-1] for a in axes]), axes)
+                    for c in ((5, 4) if kind == "non-uniform" else (3, 2, 3))]
+        grid = Grid(Domain([0.0] * len(axes), [a[-1] for a in axes]), axes)
         f = random_monotone(rng, grid)
-        for _ in range(40):
+        for _ in range(40 if len(axes) == 2 else 8):
             x = rng.uniform(grid.domain.lower, grid.domain.upper)
             z = [*x, rng.uniform(-0.2, 1.3)]
             assert point_hypo_dist(f, z, method="scan") == pytest.approx(
