@@ -197,7 +197,10 @@ def _parse_spec(obj, where: str, grid: Grid):
         if not isinstance(pts, list) or not pts:
             _fail(where, "points must be a non-empty list of coordinate lists")
         rows = [_float_list(p, f"{where}.points[{i}]") for i, p in enumerate(pts)]
-        return _in_domain(np.asarray(rows, dtype=float), grid)
+        try:
+            return _in_domain(np.asarray(rows, dtype=float), grid)
+        except ValueError as e:  # reported here, where a mixture component sits
+            _fail(where, str(e))
     if kind == "mixture":
         _check_keys(obj, where, {"kind", "components", "weights"},
                     {"components", "weights"})

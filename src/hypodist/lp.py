@@ -554,7 +554,7 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
     rejects the basis, stops at that limit or ends outside the known
     statuses, the model is solved cold, as without a basis: with presolve,
     then without it if presolve ends outside the known statuses.  The
-    solution's iteration count then includes the failed warm run's."""
+    solution's iteration count then includes every failed run's."""
     try:
         import scipy.optimize._highspy._core as core
     except ImportError as exc:
@@ -577,7 +577,7 @@ def _solve_highs(model: LPModel, max_iterations: int, basis=None) -> tuple[LPSol
         # presolve occasionally reports near-degenerate instances as
         # "unknown"; a clean phase-1 run settles the question
         logger.debug("retrying LP without presolve: %s", message)
-        highs = None
+        highs, wasted = None, wasted + nit
         status, highs, nit, message = _run_highs(core, lp, max_iterations, False)
     nit += wasted
     if status is None:

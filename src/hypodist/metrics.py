@@ -26,20 +26,19 @@ to fast-and-certified:
 
   and its mirror image define a feasibility region in eta whose infimum is
   the shift distance.  Feasibility is decided *exactly* (up to floating
-  point) by maximizing the violation over the region, in 1-d and 2-d alike,
-  with one of two maximizers chosen by the functions' orders.  For two
-  continuous (order-1) functions the violation is piecewise linear, so its
-  maximum sits on a vertex of the kink arrangement, all of which are
-  enumerated.  When a step (order-0) function is involved, the candidate
-  lines cut the region into boxes on which every step factor is constant,
-  and monotonicity puts the continuous factor's extreme at a box corner.
-  Write V(eta) for the larger of the two directions' violation sups.  The
-  two functions share a grid, so both directions are maximized over one
-  point set per shift: the candidate lattice (or boxes) and the cap kinks
-  of both functions.  For two order-1 functions the set is located once as
-  it is and once pulled forward by eta, and f and g are both read off each
-  location.  The region, the cap tests and the level sets {f = rho},
-  {g = rho} depend on rho alone and are set up once per radius.  Every
+  point) by maximizing the violation over the region, in 1-d, 2-d and 3-d
+  alike, with one of two maximizers chosen by the functions' orders.  For
+  two continuous (order-1) functions the violation is piecewise linear, so
+  its maximum sits where m hyperplanes of the kink arrangement meet, and
+  all such vertices are enumerated.  When a step (order-0) function is
+  involved, the candidate planes cut the region into boxes on which every
+  step factor is constant, and monotonicity puts the continuous factor's
+  extreme at a box corner.  Write V(eta) for the larger of the two
+  directions' violation sups.  The two functions share a grid, so both
+  directions are maximized over one point set per shift, which for two
+  order-1 functions is located once as it is and once pulled forward by
+  eta.  What depends on rho alone, down to the level planes {f = rho},
+  {g = rho} where the caps kink, is set up once per radius.  Every
   branch of the violation falls with slope at most -1 in eta (g is
   nondecreasing) over a region that does not depend on eta, so
 
@@ -78,7 +77,8 @@ from typing import Callable
 import numpy as np
 
 from .functions import GridFunction
-from .grid import Domain, Grid, interpolation_weights, lattice, locate_batch
+from .grid import Domain, interpolation_weights, lattice, locate_batch
+from .kinks import barycentric, candidates, global_kinks, level_kinks
 
 logger = logging.getLogger(__name__)
 
@@ -172,16 +172,17 @@ def _require_unit_range(f: GridFunction, name: str) -> None:
 def _validate_pair(f: GridFunction, g: GridFunction, *, need_uniform: bool) -> None:
     if f.grid != g.grid:
         raise ValueError("both functions must live on the same grid")
-    if f.grid.dim not in (1, 2):
-        raise ValueError(f"supported dimensions are 1 and 2, got {f.grid.dim}")
+    if f.grid.dim not in (1, 2, 3):
+        raise ValueError(f"supported dimensions are 1, 2 and 3, got {f.grid.dim}")
     if not (f.monotone and g.monotone):
         raise ValueError("shift distances are defined for monotone functions; "
                          "set the monotone flag on both inputs")
     _require_unit_range(f, "f")
     _require_unit_range(g, "g")
-    if need_uniform and f.grid.dim == 2 and not f.grid.is_uniform():
+    if need_uniform and f.grid.dim >= 2 and not f.grid.is_uniform():
         raise ValueError(
-            "the exact 2-d violation maximizer requires per-axis uniform grids"
+            "the exact violation maximizer requires per-axis uniform grids "
+            "in 2-d and 3-d"
         )
 
 
@@ -196,174 +197,9 @@ def _validate_pair(f: GridFunction, g: GridFunction, *, need_uniform: bool) -> N
 # holds iff V(eta) = sup max(psi_fg, psi_gf) <= 0 over the region
 # R = {x in S : ||x||_inf <= rho}.  f and g share a grid, so both directions
 # share one point set per shift, built on the same per-axis candidates: the
-# nodes, the nodes pulled back by eta, and the region's bounds.  Between
-# consecutive candidates no node of either function is crossed on any axis.
-# What depends on rho alone (the region, the cap tests and the level sets
-# of the capped functions) is set up once per radius by ``_violation_at``.
-
-
-def _candidates(
-    grid: Grid, lo: np.ndarray, hi: np.ndarray, eta: float
-) -> list[np.ndarray]:
-    """Per-axis candidates at shift eta in the region [lo, hi]."""
-    out = []
-    for i, axis in enumerate(grid.axes):
-        cand = np.concatenate([axis, axis - eta, [lo[i], hi[i]]])
-        out.append(np.unique(np.clip(cand, lo[i], hi[i])))
-    return out
-
-
-def _level_segments(f: GridFunction, rho: float) -> np.ndarray:
-    """Endpoints of the pieces of the level set {f = rho}, shape (E, 2, m).
-
-    The graph of an order-1 function is linear on each simplex of
-    ``Grid.triangles()``, so in 2-d the level set is a segment per triangle,
-    with endpoints where it crosses the triangle's edges (the grid module's
-    edge offsets) or at a vertex sitting exactly at the level.  In 1-d each
-    piece is one crossing, computed from both ends of its edge."""
-    grid = f.grid
-    m = grid.dim
-    tri = grid.triangles()
-    pos = grid.node_lattice()[tri]  # (T, m + 1 vertices, m)
-    val = f.values.reshape(-1)[tri]
-    # edge k runs from vertex k to vertex k + 1 (mod m + 1)
-    nxt_pos, nxt_val = np.roll(pos, -1, axis=1), np.roll(val, -1, axis=1)
-    cross = (val - rho) * (nxt_val - rho) < 0
-    s = np.where(cross, (rho - val) / np.where(cross, nxt_val - val, 1.0), np.nan)
-    pts = pos + s[..., None] * (nxt_pos - pos)  # (T, m + 1 edges, m)
-    n_cross = cross.sum(axis=1)
-    two = n_cross == 2
-    segs = pts[two][cross[two]].reshape(-1, 2, m)
-    # a segment can also run from a vertex sitting exactly at the level to
-    # the crossing on the opposite edge
-    at_level = np.abs(val - rho) <= 1e-14
-    rows = np.nonzero((n_cross == 1) & (at_level.sum(axis=1) == 1))[0]
-    cross_pt = pts[rows][cross[rows]]
-    vert_pt = pos[rows, np.argmax(at_level[rows], axis=1)]
-    return np.concatenate([segs, np.stack([vert_pt, cross_pt], axis=1)])
-
-
-def _segment_line_crossings(
-    segs: np.ndarray, coeff: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Intersections of segments with the line family coeff . x = offset.
-
-    segs: (E, 2, 2) endpoints; coeff: (2,); offsets: (L,).  Returns (N, 2)."""
-    if segs.size == 0 or offsets.size == 0:
-        return np.empty((0, 2))
-    p = segs[:, 0, :]
-    q = segs[:, 1, :]
-    vp = p @ coeff
-    vq = q @ coeff
-    denom = vq - vp  # (E,)
-    ok = np.abs(denom) > _TINY
-    if not np.any(ok):
-        return np.empty((0, 2))
-    p, q, vp, denom = p[ok], q[ok], vp[ok], denom[ok]
-    s = (offsets[None, :] - vp[:, None]) / denom[:, None]  # (E, L)
-    hit = (s >= 0.0) & (s <= 1.0)
-    if not np.any(hit):
-        return np.empty((0, 2))
-    e_idx, l_idx = np.nonzero(hit)
-    sv = s[e_idx, l_idx][:, None]
-    return p[e_idx] + sv * (q[e_idx] - p[e_idx])
-
-
-def _diag_crossings(
-    cands: list[np.ndarray], axes: list[np.ndarray], shift: float, sigma: float
-) -> list[np.ndarray]:
-    """Points where the diagonals of a (possibly shifted) cell lattice cross
-    the candidate lines x1 = const (``cands[0]``) and x2 = const
-    (``cands[1]``).
-
-    The lattice has axis nodes axes[k] - shift; diagonals run from each
-    cell's lower corner with slope sigma = h2 / h1 in the x-plane."""
-    b = [ax - shift for ax in axes]
-    out = []
-    for k, cand in enumerate(cands):
-        # a line x_k = c, off past its cells' lower faces b[k][i], meets each
-        # of their diagonals off * sigma (k = 0) or off / sigma (k = 1) past
-        # the cell's lower corner on the other axis
-        i = np.clip(np.searchsorted(b[k], cand, side="right") - 1, 0, b[k].size - 2)
-        off = cand - b[k][i]
-        ok = (off >= -_TINY) & (off <= axes[k][1] - axes[k][0] + _TINY)
-        if np.any(ok):
-            step = sigma * off[ok] if k == 0 else off[ok] / sigma
-            pts = np.empty((step.size, b[1 - k].size - 1, 2))
-            pts[..., k] = cand[ok][:, None]
-            pts[..., 1 - k] = b[1 - k][None, :-1] + step[:, None]
-            out.append(pts.reshape(-1, 2))
-    return out
-
-
-def _kinks_2d(
-    grid: Grid, levels: list[np.ndarray], cands: list[np.ndarray], eta: float
-) -> list[np.ndarray]:
-    """Vertices of the 2-d kink arrangement other than the candidate
-    lattice and the level-set endpoints, for a per-axis uniform grid:
-    crossings of the candidate lines with the cell diagonals and with those
-    pulled back by eta, and of each level set {h = rho} in ``levels``
-    (segments from ``_level_segments``, possibly none) with the candidate
-    lines and the pulled-back diagonals."""
-    x_cand, y_cand = cands
-    a1, a2 = grid.axes
-    h1 = a1[1] - a1[0]
-    h2 = a2[1] - a2[0]
-    sigma = h2 / h1
-
-    chunks = _diag_crossings(cands, grid.axes, 0.0, sigma)
-    if eta != 0.0:
-        chunks.extend(_diag_crossings(cands, grid.axes, eta, sigma))
-    if not levels:
-        return chunks
-    # the pulled-back diagonal line family x2 - sigma * x1 = const; the
-    # intercepts form an arithmetic set
-    c0 = (a2[0] - eta) - sigma * (a1[0] - eta)
-    intercepts = c0 + h2 * np.arange(-(a1.size - 1), a2.size)
-    for segs in levels:
-        chunks.append(_segment_line_crossings(segs, np.array([1.0, 0.0]), x_cand))
-        chunks.append(_segment_line_crossings(segs, np.array([0.0, 1.0]), y_cand))
-        chunks.append(
-            _segment_line_crossings(segs, np.array([-sigma, 1.0]), intercepts)
-        )
-    return chunks
-
-
-def _sup_at_vertices(
-    f: GridFunction,
-    g: GridFunction,
-    rho: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    levels: list[np.ndarray],
-    eta: float,
-) -> tuple[float, int]:
-    """Exact V(eta) for continuous (order-1) f and g, and the number of
-    region points evaluated.  Both directions are piecewise linear, so V is
-    the max over the vertices of their joint kink arrangement: the
-    candidate lattice, the endpoints of the level sets ``levels`` where the
-    caps kink, and in 2-d ``_kinks_2d``.  The points are located twice, as
-    they are and pulled forward by eta, and f and g are both read off each
-    set of weights."""
-    cands = _candidates(f.grid, lo, hi, eta)
-    chunks = [lattice(cands)]
-    chunks.extend(segs.reshape(-1, f.grid.dim) for segs in levels)
-    if f.grid.dim == 2:
-        chunks.extend(_kinks_2d(f.grid, levels, cands, eta))
-    pts = np.concatenate([c for c in chunks if c.size], axis=0)
-    # one comparison per column: np.all over an (N, m) mask is slower here
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for i in range(pts.shape[1]):
-        inside &= (pts[:, i] >= lo[i] - _TINY) & (pts[:, i] <= hi[i] + _TINY)
-    pts = np.clip(pts[inside], lo, hi)
-    dom = f.grid.domain
-    here = interpolation_weights(f.grid, pts)
-    ahead = interpolation_weights(f.grid, np.clip(pts + eta, dom.lower, dom.upper))
-    psi = np.maximum(
-        np.minimum(f.interpolate(*here), rho) - g.interpolate(*ahead),
-        np.minimum(g.interpolate(*here), rho) - f.interpolate(*ahead),
-    )
-    return float(np.max(psi)) - eta, pts.shape[0]
+# nodes, the nodes pulled back by eta, and the region's bounds.  For order-1
+# f and g it is the vertex set of their kink arrangement (kinks module).
+# What depends on rho alone is set up once per radius by ``_violation_at``.
 
 
 def _sup_on_boxes(
@@ -385,7 +221,7 @@ def _sup_on_boxes(
     region's upper faces, where a step function on a node takes its next
     cell's value, and a one-point axis (lo == hi).  Both directions use the
     same lower, upper and mid lattices."""
-    cands = _candidates(f.grid, lo, hi, eta)
+    cands = candidates(f.grid, lo, hi, eta)
     lower = lattice(cands)
     upper = lattice([np.append(c[1:], c[-1]) for c in cands])
     mid = 0.5 * (lower + upper)
@@ -410,22 +246,43 @@ def _violation_at(
     """eta -> (V(eta), region points evaluated) at radius rho.
 
     The work that depends on rho alone is done here, once per radius: the
-    region and the cap tests h(lo) < rho < h(hi), which pick the functions
-    whose cap cuts the region, with the level sets {h = rho} of those
-    functions."""
+    region, the global planes, and the cap tests h(lo) < rho < h(hi), which
+    pick the functions whose level planes {h = rho} cut the region."""
     reg = RhoBall(rho).region(f.grid.domain)
     if reg is None:
         return lambda eta: (-math.inf, 0)
     lo, hi = reg
     if f.order == 0 or g.order == 0:
         return partial(_sup_on_boxes, f, g, rho, lo, hi)
-    levels = []
+    kinks = [global_kinks(f.grid, lo, hi)]
     corners = interpolation_weights(f.grid, np.stack([lo, hi]))
     for h in (f, g):
         at_lo, at_hi = h.interpolate(*corners)
         if at_lo < rho < at_hi:
-            levels.append(_level_segments(h, rho))
-    return partial(_sup_at_vertices, f, g, rho, lo, hi, levels)
+            kinks.append(level_kinks(h, rho, lo, hi))
+    dom = f.grid.domain
+
+    def sup_at_vertices(eta: float) -> tuple[float, int]:
+        """Exact V(eta) for continuous (order-1) f and g, and the number of
+        region points evaluated: the max over the vertices of their joint
+        kink arrangement, which the ``kinks`` enumerate.  The points are
+        located twice, as they are and pulled forward by eta, and f and g
+        are both read off each set of weights."""
+        pts = np.concatenate([k(eta) for k in kinks], axis=0)
+        # one comparison per column: np.all over an (N, m) mask is slower here
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for i in range(pts.shape[1]):
+            inside &= (pts[:, i] >= lo[i] - _TINY) & (pts[:, i] <= hi[i] + _TINY)
+        pts = np.clip(pts[inside], lo, hi)
+        here = interpolation_weights(f.grid, pts)
+        ahead = interpolation_weights(f.grid, np.clip(pts + eta, dom.lower, dom.upper))
+        psi = np.maximum(
+            np.minimum(f.interpolate(*here), rho) - g.interpolate(*ahead),
+            np.minimum(g.interpolate(*here), rho) - f.interpolate(*ahead),
+        )
+        return float(np.max(psi)) - eta, pts.shape[0]
+
+    return sup_at_vertices
 
 
 def _violation(f: GridFunction, g: GridFunction, rho: float, eta: float) -> float:
@@ -664,9 +521,9 @@ def _monotone_dist(f: GridFunction, X: np.ndarray, x0: np.ndarray) -> np.ndarray
 # -- geometric per-piece distance ----------------------------------------------------
 
 
-def _point_dist_geometric(f: GridFunction, x: np.ndarray, x0: float) -> float:
-    """dist((x, x0), hypo f) = min over y in S of max(||x - y||, x0 - f(y), 0),
-    taken over the Kuhn simplices of f's grid, any m.
+def _geometric_dist(f: GridFunction) -> Callable[[np.ndarray, float], float]:
+    """(x, x0) -> dist((x, x0), hypo f) = min over y in S of max(||x - y||,
+    x0 - f(y), 0), taken over the Kuhn simplices of f's grid, any m.
 
     On a simplex f(y) = a.y + c, and the distance is the LP min s with
     s >= +-(y_i - x_i), s >= x0 - a.y - c, s >= 0 and y in the simplex.  At
@@ -674,9 +531,12 @@ def _point_dist_geometric(f: GridFunction, x: np.ndarray, x0: float) -> float:
     from the others leaves m hyperplanes in y, from y_i = x_i,
     y_i -+ y_j = x_i -+ x_j, a.y + c = x0, a.y + c +- (y_i - x_i) = x0 and
     the facets.  Every m-subset of them with a nonzero determinant is
-    solved, and its point is kept when it lies in the simplex.  That is
-    C((m + 1)(m + 2), m) points per simplex, all held at once: a reference
-    for small grids."""
+    solved, and its point is kept when it lies in the simplex; only the
+    right-hand sides depend on the test point, so the inverses are built
+    once per function.  That is C((m + 1)(m + 2), m) points per simplex,
+    all held at once: a reference for small grids."""
+    if f.order != 1:
+        raise ValueError("hypograph distances need a continuous (order-1) function")
     grid = f.grid
     m = grid.dim
     tris = grid.triangles()
@@ -684,7 +544,7 @@ def _point_dist_geometric(f: GridFunction, x: np.ndarray, x0: float) -> float:
     V = f.values.reshape(-1)[tris]  # (T, m + 1)
     # barycentric map: [y, 1] @ B = lambda, so the plane of f is B @ V and
     # facet k is the column B[:, k] = 0
-    B = np.linalg.inv(np.concatenate([P, np.ones_like(P[..., :1])], axis=2))
+    B = barycentric(P)
     plane = B @ V[..., None]  # (T, m + 1, 1)
     a, c = plane[:, :m], plane[:, m]
     eye = np.eye(m)
@@ -697,20 +557,21 @@ def _point_dist_geometric(f: GridFunction, x: np.ndarray, x0: float) -> float:
         a.transpose(0, 2, 1) + shifts,
         B[:, :m].transpose(0, 2, 1),
     ], axis=1)
-    off = np.concatenate([
-        np.broadcast_to(box @ x, (nt, box.shape[0])),
-        x0 - c + shifts @ x,
-        -B[:, m],
-    ], axis=1)
     subsets = np.array(list(itertools.combinations(range(coeff.shape[1]), m)))
     A = coeff[:, subsets]  # (T, K, m, m)
     ok = np.abs(np.linalg.det(A)) > _TINY
-    y = np.linalg.solve(np.where(ok[..., None, None], A, eye),
-                        off[:, subsets][..., None])[..., 0]  # (T, K, m)
-    ok &= np.all(y @ B[:, :m] + B[:, None, m] >= -1e-9, axis=2)
-    fy = (y @ a)[..., 0] + c
-    D = np.maximum(np.max(np.abs(y - x), axis=2), np.maximum(x0 - fy, 0.0))
-    return float(np.min(D[ok]))
+    inv = np.linalg.inv(np.where(ok[..., None, None], A, eye))
+
+    def dist(x: np.ndarray, x0: float) -> float:
+        off = np.concatenate([np.broadcast_to(box @ x, (nt, box.shape[0])),
+                              x0 - c + shifts @ x, -B[:, m]], axis=1)
+        y = (inv @ off[:, subsets][..., None])[..., 0]  # (T, K, m)
+        keep = ok & np.all(y @ B[:, :m] + B[:, None, m] >= -1e-9, axis=2)
+        fy = (y @ a)[..., 0] + c
+        D = np.maximum(np.max(np.abs(y - x), axis=2), np.maximum(x0 - fy, 0.0))
+        return float(np.min(D[keep]))
+
+    return dist
 
 
 def point_hypo_dist(
@@ -729,8 +590,6 @@ def point_hypo_dist(
             f"expected a point with {f.grid.dim + 1} entries (x then level), "
             f"got {pt.size}"
         )
-    if f.order != 1:
-        raise ValueError("hypograph distances need a continuous (order-1) function")
     x, x0 = pt[:-1], float(pt[-1])
     in_dom = f.grid.domain.contains(x)
     if method == "auto":
@@ -742,7 +601,7 @@ def point_hypo_dist(
             raise ValueError("the scan method requires x inside the domain")
         return float(_monotone_dist(f, x[None, :], np.array([[x0]]))[0, 0])
     if method == "geometric":
-        return _point_dist_geometric(f, x, x0)
+        return _geometric_dist(f)(x, x0)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -779,13 +638,9 @@ def dl_rho_oracle(
         df = _monotone_dist(f, X, x0)
         dg = _monotone_dist(g, X, x0)
     elif method == "geometric":
-        df = np.empty((X.shape[0], levels.size))
-        dg = np.empty_like(df)
-        for i in range(X.shape[0]):
-            for j, lv in enumerate(levels):
-                zp = np.concatenate([X[i], [lv]])
-                df[i, j] = point_hypo_dist(f, zp, method="geometric")
-                dg[i, j] = point_hypo_dist(g, zp, method="geometric")
+        # each function's simplex matrices are inverted once, for every point
+        df, dg = (np.array([[dist(x, lv) for lv in levels] for x in X])
+                  for dist in (_geometric_dist(f), _geometric_dist(g)))
     else:
         raise ValueError(f"unknown method {method!r}")
     return float(np.max(np.abs(df - dg)))

@@ -709,6 +709,8 @@ def test_nan_coordinates_are_config_errors(tmp_path, capsys, source):
                  str(tmp_path / "o"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "$.F0" in err and "Traceback" not in err
+    if source["kind"] == "mixture":  # the component at fault is named
+        assert "$.F0.components[1]" in err
 
 
 @pytest.mark.parametrize(

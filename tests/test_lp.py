@@ -337,6 +337,30 @@ def test_warm_run_at_its_budget_falls_back_to_cold(monkeypatch, caplog):
         assert same_solution(a, dataclasses.replace(b, iterations=a.iterations))
 
 
+def test_failed_presolve_run_counts_its_iterations(monkeypatch):
+    # a cold run with presolve that ends outside the known statuses is
+    # retried without presolve, and the iterations of both runs count
+    from hypodist import lp
+
+    run_highs, runs = lp._run_highs, []
+
+    def presolve_fails_once(core, model, max_iterations, presolve, basis=None):
+        if presolve and not runs:
+            runs.append(5)
+            return None, None, 5, "Unknown"
+        status, highs, nit, message = run_highs(core, model, max_iterations, presolve)
+        runs.append(nit)
+        return status, highs, nit, message
+
+    monkeypatch.setattr(lp, "_run_highs", presolve_fails_once)
+    for m in random_models(67):
+        runs.clear()
+        sol = solve(m)
+        assert len(runs) == 2 and sol.iterations == runs[0] + runs[1]
+        assert sol.status == solve(m, method="simplex").status
+    assert runs[1] > 0
+
+
 def test_concurrent_solves_match_sequential_ones():
     # HiGHS releases the GIL while it solves, so solves on several threads
     # overlap, as the deltas of a CLI ladder do.  Each thread runs the

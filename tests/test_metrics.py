@@ -234,6 +234,16 @@ def test_pair_validation_errors(unit_square_grid, unit_interval_grid, rng):
     bare = GridFunction(F.grid, 1, F.values)  # monotone flag required
     with pytest.raises(ValueError):
         hat_dl_rho(bare, F, 1.0)
+    # the maximizer's split planes need per-axis uniform grids from 2-d on,
+    # and it stops at 3-d
+    cube = Grid(Domain([0.0] * 3, [1.0] * 3), [[0.0, 0.3, 1.0]] * 3)
+    C = random_monotone(rng, cube)
+    with pytest.raises(ValueError, match="per-axis uniform"):
+        hat_dl_rho(C, C, 1.0)
+    assert eta_plus(C, C, 1.0) >= 0.0  # the root scan takes any grid
+    tesseract = random_monotone(rng, build_grid(Domain([0.0] * 4, [1.0] * 4), 2))
+    with pytest.raises(ValueError, match="dimensions are 1, 2 and 3"):
+        hat_dl_rho(tesseract, tesseract, 1.0)
 
 
 def test_hypo_dist_estimate_report_fields(rng, unit_square_grid):
@@ -496,6 +506,57 @@ def test_violation_2d_vertices_within_lipschitz_sandwich():
                     v = _violation(F, G, rho, eta)
                     assert sampled - 1e-12 <= v <= sampled + lipschitz * h / 2 + 1e-12, (
                         rho, eta)
+
+
+@pytest.mark.parametrize("cells,pairs", [((12,), 10), ((6, 6), 10), ((4, 4, 4), 8),
+                                         ((6, 6, 6), 4), ((3, 5, 4), 6)],
+                         ids=["1-d", "2-d", "3-d-4", "3-d-6", "3-d-3x5x4"])
+def test_violation_is_exact_against_random_points(cells, pairs):
+    # V is the max over every vertex of the kink arrangement, so no point of
+    # the region beats it beyond round-off.  Half the pairs are CDF-like,
+    # half maxima of axis ramps.  At rho = 0.35 the caps bind on
+    # the unit cube and the level planes often carry the sup; in 3-d, level
+    # pieces cut from all six edges of a simplex and the Kuhn split planes
+    # through them are needed.  At rho = 10 the region is the whole cube and
+    # x + eta passes its upper face, where the shifted factor stops moving
+    rng = np.random.default_rng(6)
+    dim = len(cells)
+    g = build_grid(Domain([0.0] * dim, [1.0] * dim), [n + 1 for n in cells])
+
+    def max_of_ramps() -> GridFunction:
+        # monotone, but cells can carry negative mass: unlike a CDF's, its
+        # sup often sits where a pulled-back split plane crosses
+        v = np.zeros(g.shape)
+        for i, n in enumerate(g.shape):
+            u = np.cumsum(rng.exponential(size=n))
+            v = np.maximum(v, (u / u[-1]).reshape([-1 if k == i else 1 for k in range(dim)]))
+        return GridFunction(g, 1, rng.uniform(0.2, 1.0) * v, monotone=True)
+
+    for k in range(pairs):
+        member = (lambda: random_monotone(rng, g)) if k % 2 else max_of_ramps
+        F, G = member(), member()
+        for rho in (0.35, 10.0):
+            x = rng.uniform(0.0, min(rho, 1.0), size=(10_000, dim))
+            for eta in (0.0, 0.05, 0.13):
+                xs = np.minimum(x + eta, 1.0)
+                psi = np.maximum(np.minimum(F.eval(x), rho) - G.eval(xs),
+                                 np.minimum(G.eval(x), rho) - F.eval(xs)) - eta
+                assert _violation(F, G, rho, eta) >= float(np.max(psi)) - 1e-12, (rho, eta)
+    # the public routes take the grid, whatever its dimension: the shift
+    # distance lies between the cell-corner relaxations, and so does a step
+    # function's, whose boxes route is exact too
+    rho = 0.35
+    hat = hat_dl_rho(F, G, rho)
+    assert kenmochi_ok(F, G, rho, hat) and 0.0 <= hat <= 1.0
+    assert eta_minus(F, G, rho) <= hat + 1e-8 and hat <= eta_plus(F, G, rho) + 1e-8
+    step = GridFunction(g, 0, F.values[(slice(1, None),) * dim], monotone=True)
+    eta = 0.5 * hat_dl_rho(step, G, rho)
+    x = rng.uniform(0.0, rho, size=(10_000, dim))
+    psi = np.maximum(np.minimum(step.eval(x), rho) - G.eval(x + eta),
+                     np.minimum(G.eval(x), rho) - step.eval(x + eta)) - eta
+    assert _violation(step, G, rho, eta) >= float(np.max(psi)) - 1e-12
+    report = hypo_dist_estimate(F, G, quad_points=2)
+    assert 0.0 <= report.lower_bound <= report.value <= report.upper_bound <= 1.0
 
 
 def test_step_function_value_on_the_region_face_counts():
