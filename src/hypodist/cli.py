@@ -149,8 +149,6 @@ def _parse_domain(obj, where: str) -> Domain:
     _check_keys(obj, where, {"lower", "upper"}, {"lower", "upper"})
     lower = _float_list(obj["lower"], f"{where}.lower")
     upper = _float_list(obj["upper"], f"{where}.upper", length=len(lower))
-    if len(lower) not in (1, 2):
-        _fail(where, f"domain must be 1- or 2-dimensional, got {len(lower)}")
     try:
         return Domain(lower, upper)
     except ValueError as e:

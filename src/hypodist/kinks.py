@@ -1,4 +1,5 @@
-"""Vertices of the kink arrangement of the shift condition's violation.
+"""Vertices of the kink arrangement of the shift condition's violation, and
+the per-simplex vertex solve it shares with the geometric point distance.
 
 For order-1 f and g on one grid, both directions of the violation (metrics
 module) are linear on each piece of an arrangement of hyperplanes in the
@@ -11,9 +12,10 @@ simplex the level plane {h = rho}, where the cap min(h, rho) kinks
 (``level_kinks``).  Only the offsets of the pulled-back planes depend on
 eta; the rest, with the inverse normals of every m-subset of planes, is set
 up once per radius, and an evaluation builds right-hand sides and
-multiplies.  m is at most 3.  No matrix is inverted by ``np.linalg``: its
-first call in a process starts LAPACK, which raises the peak memory by
-about 0.7 MB.
+multiplies.  ``vertex_solver`` does so per simplex (``simplices``) for the
+level planes and for ``metrics._geometric_dist``.  m is at most 3.  No
+matrix is inverted by LAPACK: its first call in a process raises the peak
+memory by about 0.7 MB.
 """
 
 from __future__ import annotations
@@ -59,17 +61,36 @@ def _inverse(A: np.ndarray, tiny: float) -> tuple[np.ndarray, np.ndarray]:
     return np.swapaxes(cof, -1, -2)[..., :m, :m] / np.where(ok, det, 1.0)[..., None, None], ok
 
 
-def barycentric(P: np.ndarray) -> np.ndarray:
-    """B with [y, 1] @ B = the barycentric coordinates of y in each simplex
-    of ``Grid.triangles()``, vertices P (T, m + 1, m).  Its steps D_k from
-    vertex k - 1 to vertex k run along distinct axes, so y - P_0 = sum mu_k
-    D_k with mu_k = (y - P_0) . D_k / |D_k|^2, and lambda_k = mu_k -
-    mu_(k+1), with mu_0 = 1 and mu_(m+1) = 0."""
+def simplices(h: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every simplex of ``Grid.triangles()``: its vertices P (T, m + 1, m),
+    vertex 0 at the cell's lower corner, the values of h there, and B with
+    [y, 1] @ B = the barycentric coordinates of y.  Each step D_k = P_k -
+    P_(k-1) runs along its own axis, so mu_k = (y - P_0) . D_k / |D_k|^2
+    and lambda_k = mu_k - mu_(k+1), with mu_0 = 1 and mu_(m+1) = 0."""
+    tri = h.grid.triangles()
+    P = h.grid.node_lattice()[tri]
     D = np.diff(P, axis=1)
     m = D.shape[2]
     W = np.swapaxes(D, 1, 2) / np.sum(D * D, axis=2)[:, None] @ (
         np.eye(m, m + 1, 1) - np.eye(m, m + 1))
-    return np.concatenate([W, np.eye(1, m + 1) - P[:, :1] @ W], axis=1)
+    B = np.concatenate([W, np.eye(1, m + 1) - P[:, :1] @ W], axis=1)
+    return P, h.values.reshape(-1)[tri], B
+
+
+def vertex_solver(
+    A: np.ndarray, B: np.ndarray, subsets: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """rhs -> the point (T, S, m) where the planes A[t, k] . y = rhs[t, k],
+    k in each m-subset of ``subsets``, meet on simplex t, and whether it
+    lies in the simplex: every barycentric coordinate by B >= -1e-9.  Each
+    subset is inverted once; one that ``_inverse`` finds singular has none."""
+    inv, ok = _inverse(A[:, subsets], 1e-12)  # (T, S, m, m)
+
+    def solve(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pts = (inv @ rhs[:, subsets][..., None])[..., 0]
+        return pts, ok & np.all(pts @ B[:, :-1] + B[:, None, -1] >= -1e-9, axis=2)
+
+    return solve
 
 
 @lru_cache(maxsize=None)
@@ -91,15 +112,15 @@ def _global_planes(m: int) -> tuple[np.ndarray, ...]:
 
 def global_kinks(
     grid: Grid, lo: np.ndarray, hi: np.ndarray
-) -> Callable[[float], np.ndarray]:
-    """eta -> the points where m global planes meet, for every m families
-    with independent normals: the candidate planes per axis, then the split
-    planes per axis pair at shift 0 and pulled back, x_i / h_i - x_j / h_j =
-    const, for the k whose plane meets the region where x + shift stays in
-    S.  Past b_i the shifted factor no longer moves with x_i, so points
-    count only there.  A split plane at shift s through a candidate on a
-    node pulled back by s meets the other axis's candidates there, so such
-    candidates are left out of its subsets."""
+) -> Callable[[float, list[np.ndarray]], np.ndarray]:
+    """(eta, its ``candidates``) -> the points where m global planes meet,
+    for every m families with independent normals: the candidate planes per
+    axis, then the split planes per axis pair at shift 0 and pulled back,
+    x_i / h_i - x_j / h_j = const, for the k whose plane meets the region
+    where x + shift stays in S.  Past b_i the shifted factor no longer moves
+    with x_i, so points count only there.  A split plane at shift s through
+    a candidate on a node pulled back by s meets the other axis's
+    candidates there, so such candidates are left out of its subsets."""
     m = grid.dim
     a, b, h = grid.domain.lower, grid.domain.upper, grid.spacing()
     ii, jj, subsets, inv, ends = _global_planes(m)
@@ -107,8 +128,7 @@ def global_kinks(
     inv = h[:, None] * inv / np.concatenate([h, np.ones(2 * ii.size)])[subsets][:, None]
     top = b + 1e-9 * h
 
-    def kinks(eta: float) -> np.ndarray:
-        cands = candidates(grid, lo, hi, eta)
+    def kinks(eta: float, cands: list[np.ndarray]) -> np.ndarray:
         marks = [(_member(c, ax), _member(c, ax - eta) | (c + eta > t))
                  for c, ax, t in zip(cands, grid.axes, top)]
         offsets = [None] * m
@@ -136,25 +156,24 @@ def global_kinks(
 
 def level_kinks(
     h: GridFunction, rho: float, lo: np.ndarray, hi: np.ndarray
-) -> Callable[[float], np.ndarray]:
-    """eta -> the points where the level plane {h = rho} of a simplex meets
-    m - 1 of the planes that can cut the simplex, kept inside it.  The
-    simplices are those of ``Grid.triangles()`` in cells that meet the
-    region, with h above rho at one vertex and below it at another.  The
-    planes are the simplex's m + 1 facets, the candidates strictly inside
-    its cell (at most a pulled-back node, lo_i and hi_i per axis), and per
-    axis pair the pulled-back split plane strictly inside its range of
-    u_i - u_j, which has length 1."""
+) -> Callable[[float, list[np.ndarray]], np.ndarray]:
+    """(eta, its ``candidates``) -> the points where the level plane
+    {h = rho} of a simplex meets m - 1 of the planes that can cut the
+    simplex, kept inside it by ``vertex_solver``.  The simplices are those
+    of ``Grid.triangles()`` in cells that meet the region, with h above rho
+    at one vertex and below it at another.  The planes are the simplex's
+    m + 1 facets, the candidates strictly inside its cell (at most a
+    pulled-back node, lo_i and hi_i per axis), and per axis pair the
+    pulled-back split plane strictly inside its range of u_i - u_j, which
+    has length 1."""
     grid = h.grid
     m = grid.dim
     a, step = grid.domain.lower, grid.spacing()
     ii, jj = np.triu_indices(m, 1)
-    tri = grid.triangles()
-    P = grid.node_lattice()[tri]  # (T, m + 1, m): vertex 0 is the cell's lower corner
-    val = h.values.reshape(-1)[tri]
+    P, val, B = simplices(h)
     keep = (val.min(axis=1) < rho) & (val.max(axis=1) > rho)
     keep &= np.all(P[:, 0] <= hi, axis=1) & np.all(P[:, m] >= lo, axis=1)
-    P, val = P[keep], val[keep]
+    P, val, B = P[keep], val[keep], B[keep]
     n_t, eye = P.shape[0], np.eye(m)
     # rows [normal, offset]: the level plane, the facets, three candidate
     # slots per axis and the pulled-back split planes; the offsets of the
@@ -164,7 +183,6 @@ def level_kinks(
     planes = np.pad(normals, [(0, 0), (0, 1)])[None].repeat(n_t, axis=0)
     # facet k is B[:, k] . [y, 1] = 0, and the level plane is
     # (B[:m] @ val) . y = rho - B[m] . val
-    B = barycentric(P)
     planes[:, 0, :m] = (B[:, :m] @ val[..., None])[..., 0]
     planes[:, 0, m] = rho - np.sum(B[:, m] * val, axis=1)
     planes[:, 1:m + 2] = np.swapaxes(B * np.append(np.ones(m), -1.0)[:, None], 1, 2)
@@ -172,11 +190,11 @@ def level_kinks(
     d_lo = np.min(u[..., ii] - u[..., jj], axis=1)
     partners = itertools.combinations(range(1, len(normals)), m - 1)
     subsets = np.array([(0, *s) for s in partners])
-    inv, ok = _inverse(planes[:, subsets, :m], 1e-12)  # (T, S, m, m)
+    solve = vertex_solver(planes[..., :m], B, subsets)
 
-    def kinks(eta: float) -> np.ndarray:
+    def kinks(eta: float, cands: list[np.ndarray]) -> np.ndarray:
         rhs, present = planes[..., m].copy(), np.ones(planes.shape[:2], dtype=bool)
-        for i, c in enumerate(candidates(grid, lo, hi, eta)):
+        for i, c in enumerate(cands):
             slot = np.searchsorted(c, P[:, 0, i], side="right")[:, None] + np.arange(3)
             rhs[:, m + 2 + 3 * i:m + 5 + 3 * i] = c[np.minimum(slot, c.size - 1)]
             present[:, m + 2 + 3 * i:m + 5 + 3 * i] = (
@@ -186,9 +204,7 @@ def level_kinks(
         k = np.floor(d_lo + e) + 1
         rhs[:, 4 * m + 2:] = k - e + a[ii] / step[ii] - a[jj] / step[jj]
         present[:, 4 * m + 2:] = k - e < d_lo + 1
-        pts = (inv @ rhs[:, subsets][..., None])[..., 0]  # (T, S, m)
-        good = ok & np.all(present[:, subsets], axis=2)
-        good &= np.all(pts @ B[:, :m] + B[:, None, m] >= -1e-9, axis=2)
-        return pts[good]
+        pts, inside = solve(rhs)
+        return pts[inside & np.all(present[:, subsets], axis=2)]
 
     return kinks

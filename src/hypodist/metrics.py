@@ -8,8 +8,8 @@ to fast-and-certified:
 * ``point_hypo_dist`` - distance from one test point (x, x0) to the hypograph
   {(y, y0) : y in S, y0 <= f(y)}.  Two routes: a geometric per-piece
   minimization that enumerates candidate minimizers on every linear piece of
-  the graph (one per Kuhn simplex, in any dimension), and a root-scan that
-  exploits monotonicity,
+  the graph (one per Kuhn simplex, m <= 3), and a root-scan that exploits
+  monotonicity,
 
       dist((x, x0), hypo f) = inf{t >= 0 : f(min(x + t, b)) + t >= x0},
 
@@ -78,7 +78,7 @@ import numpy as np
 
 from .functions import GridFunction
 from .grid import Domain, interpolation_weights, lattice, locate_batch
-from .kinks import barycentric, candidates, global_kinks, level_kinks
+from .kinks import candidates, global_kinks, level_kinks, simplices, vertex_solver
 
 logger = logging.getLogger(__name__)
 
@@ -169,7 +169,12 @@ def _require_unit_range(f: GridFunction, name: str) -> None:
         )
 
 
-def _validate_pair(f: GridFunction, g: GridFunction, *, need_uniform: bool) -> None:
+def _validate_pair(f: GridFunction, g: GridFunction, *, need_uniform: bool,
+                   rho: float | None = None, tol: float | None = None) -> None:
+    if rho is not None and not (rho > 0 and math.isfinite(rho)):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    if tol is not None and not (0 < tol < 1):
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     if f.grid != g.grid:
         raise ValueError("both functions must live on the same grid")
     if f.grid.dim not in (1, 2, 3):
@@ -268,7 +273,8 @@ def _violation_at(
         kink arrangement, which the ``kinks`` enumerate.  The points are
         located twice, as they are and pulled forward by eta, and f and g
         are both read off each set of weights."""
-        pts = np.concatenate([k(eta) for k in kinks], axis=0)
+        cands = candidates(f.grid, lo, hi, eta)
+        pts = np.concatenate([k(eta, cands) for k in kinks], axis=0)
         # one comparison per column: np.all over an (N, m) mask is slower here
         inside = np.ones(pts.shape[0], dtype=bool)
         for i in range(pts.shape[1]):
@@ -293,11 +299,9 @@ def _violation(f: GridFunction, g: GridFunction, rho: float, eta: float) -> floa
 
 def kenmochi_ok(f: GridFunction, g: GridFunction, rho: float, eta: float) -> bool:
     """Whether the two-sided shift condition holds at shift eta and radius rho."""
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+    _validate_pair(f, g, need_uniform=True, rho=rho)
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    _validate_pair(f, g, need_uniform=True)
     return _violation(f, g, rho, eta) <= SUP_TOL
 
 
@@ -406,11 +410,7 @@ def hat_dl_rho(
     decided by the exact violation sup V(eta); the search steps along V's
     slope bound V(eta + d) <= V(eta) - d and a secant, and returns a shift
     with V <= SUP_TOL lying at most tol above the least such shift."""
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    if not (0 < tol < 1):
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
-    _validate_pair(f, g, need_uniform=True)
+    _validate_pair(f, g, need_uniform=True, rho=rho, tol=tol)
     return _hat_bracketed(f, g, rho, tol, 0.0)[0]
 
 
@@ -523,50 +523,43 @@ def _monotone_dist(f: GridFunction, X: np.ndarray, x0: np.ndarray) -> np.ndarray
 
 def _geometric_dist(f: GridFunction) -> Callable[[np.ndarray, float], float]:
     """(x, x0) -> dist((x, x0), hypo f) = min over y in S of max(||x - y||,
-    x0 - f(y), 0), taken over the Kuhn simplices of f's grid, any m.
+    x0 - f(y), 0), taken over the Kuhn simplices of f's grid, for m <= 3.
 
     On a simplex f(y) = a.y + c, and the distance is the LP min s with
     s >= +-(y_i - x_i), s >= x0 - a.y - c, s >= 0 and y in the simplex.  At
     an optimal vertex m + 1 of its rows are tight; one tight row in s taken
     from the others leaves m hyperplanes in y, from y_i = x_i,
     y_i -+ y_j = x_i -+ x_j, a.y + c = x0, a.y + c +- (y_i - x_i) = x0 and
-    the facets.  Every m-subset of them with a nonzero determinant is
-    solved, and its point is kept when it lies in the simplex; only the
-    right-hand sides depend on the test point, so the inverses are built
-    once per function.  That is C((m + 1)(m + 2), m) points per simplex,
-    all held at once: a reference for small grids."""
+    the facets.  ``kinks.vertex_solver`` meets every m of them on every
+    simplex and keeps the points inside it; only the right-hand sides
+    depend on the test point.  That is C((m + 1)(m + 2), m) points per
+    simplex, all held at once: a reference for small grids."""
     if f.order != 1:
         raise ValueError("hypograph distances need a continuous (order-1) function")
-    grid = f.grid
-    m = grid.dim
-    tris = grid.triangles()
-    P = grid.node_lattice()[tris]  # (T, m + 1, m)
-    V = f.values.reshape(-1)[tris]  # (T, m + 1)
-    # barycentric map: [y, 1] @ B = lambda, so the plane of f is B @ V and
-    # facet k is the column B[:, k] = 0
-    B = barycentric(P)
+    m = f.grid.dim
+    if m > 3:
+        raise ValueError(f"the geometric route supports dimensions 1 to 3, got {m}")
+    _, V, B = simplices(f)
+    # [y, 1] @ B = lambda, so the plane of f is B @ V and facet k is the
+    # column B[:, k] = 0
     plane = B @ V[..., None]  # (T, m + 1, 1)
     a, c = plane[:, :m], plane[:, m]
     eye = np.eye(m)
     i, j = np.triu_indices(m, 1)
     box = np.concatenate([eye, eye[i] - eye[j], eye[i] + eye[j]])
     shifts = np.concatenate([np.zeros((1, m)), eye, -eye])
-    nt = P.shape[0]
+    nt = B.shape[0]
     coeff = np.concatenate([  # ties of ||x - y||, level and balance planes, facets
         np.broadcast_to(box, (nt, *box.shape)),
         a.transpose(0, 2, 1) + shifts,
         B[:, :m].transpose(0, 2, 1),
     ], axis=1)
     subsets = np.array(list(itertools.combinations(range(coeff.shape[1]), m)))
-    A = coeff[:, subsets]  # (T, K, m, m)
-    ok = np.abs(np.linalg.det(A)) > _TINY
-    inv = np.linalg.inv(np.where(ok[..., None, None], A, eye))
+    solve = vertex_solver(coeff, B, subsets)
 
     def dist(x: np.ndarray, x0: float) -> float:
-        off = np.concatenate([np.broadcast_to(box @ x, (nt, box.shape[0])),
-                              x0 - c + shifts @ x, -B[:, m]], axis=1)
-        y = (inv @ off[:, subsets][..., None])[..., 0]  # (T, K, m)
-        keep = ok & np.all(y @ B[:, :m] + B[:, None, m] >= -1e-9, axis=2)
+        y, keep = solve(np.concatenate([np.broadcast_to(box @ x, (nt, box.shape[0])),
+                                        x0 - c + shifts @ x, -B[:, m]], axis=1))
         fy = (y @ a)[..., 0] + c
         D = np.maximum(np.max(np.abs(y - x), axis=2), np.maximum(x0 - fy, 0.0))
         return float(np.min(D[keep]))
@@ -595,8 +588,6 @@ def point_hypo_dist(
     if method == "auto":
         method = "scan" if (f.monotone and in_dom) else "geometric"
     if method == "scan":
-        if not f.monotone:
-            raise ValueError("the scan method requires the monotone flag")
         if not in_dom:
             raise ValueError("the scan method requires x inside the domain")
         return float(_monotone_dist(f, x[None, :], np.array([[x0]]))[0, 0])
@@ -652,11 +643,9 @@ def dl_rho_oracle(
 def _eta_cells(
     f: GridFunction, g: GridFunction, rho: float, *, tight: bool
 ) -> float:
-    _validate_pair(f, g, need_uniform=False)
+    _validate_pair(f, g, need_uniform=False, rho=rho)
     if f.order != 1 or g.order != 1:
         raise ValueError("cell-corner relaxations need order-1 functions")
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
     grid = f.grid
     lower, upper = grid.cell_bounds()
     keep = np.max(np.abs(lower), axis=1) <= rho + 1e-12
@@ -712,11 +701,9 @@ def hypo_dist_estimate(
     radii of the gallop's start, where failed tests can outnumber the radii
     filled.
     """
-    _validate_pair(f, g, need_uniform=True)
+    _validate_pair(f, g, need_uniform=True, tol=tol)
     if quad_points < 1:
         raise ValueError(f"quad_points must be >= 1, got {quad_points}")
-    if not (0 < tol < 1):
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
     rho_bar = saturation_radius(f.grid.domain)
     edges = np.linspace(0.0, rho_bar, quad_points + 1)
     a, b = edges[:-1], edges[1:]
@@ -769,15 +756,12 @@ def hypo_dist_estimate(
         i, v_next = i + 1, None
     evaluations += tests
 
-    def hat(r: float) -> float:
-        return hats[float(min(r, rho_bar))]
+    def hat(radii: np.ndarray) -> np.ndarray:
+        return np.array([hats[float(min(r, rho_bar))] for r in radii])
 
-    hat_a = np.array([hat(v) for v in a])
-    hat_2b = np.array([hat(2 * v) for v in b])
-    hat_mids = np.array([hat(v) for v in mids])
-    hat_2mids = np.array([hat(2 * v) for v in mids])
+    hat_a, hat_2b, hat_mids, hat_2mids = hat(a), hat(2 * b), hat(mids), hat(2 * mids)
     w = np.exp(-a) - np.exp(-b)
-    tail = math.exp(-rho_bar) * hat(rho_bar)
+    tail = math.exp(-rho_bar) * hats[float(rho_bar)]
     lower = float(np.sum(w * hat_a)) + tail
     upper = float(np.sum(w * hat_2b)) + tail
     value = float(np.sum(w * 0.5 * (hat_mids + hat_2mids))) + tail

@@ -423,6 +423,34 @@ def test_validate_subcommand(tmp_path):
     assert doc["distribution_error_pct"]["G0"] == 0.0
 
 
+def test_dimension_scope_of_the_commands(tmp_path, capsys):
+    # distances and their checks take m <= 3; estimation stays at m <= 2
+    def box_config(name, dim, cells):
+        return write_config(
+            tmp_path / name, domain={"lower": [0.0] * dim, "upper": [3.0] * dim},
+            grid={"cells_per_axis": cells}, rho_values=[1.0], oracle_samples=3,
+            quad_points=4, refinement_factors=[1, 2],
+            F0={"kind": "uniform_box", "lower": [0.0] * dim, "upper": [1.0] * dim},
+            G0={"kind": "uniform_box", "lower": [2.0] * dim, "upper": [3.0] * dim})
+
+    cube = box_config("cube.json", 3, 3)
+    for command in ("distance", "validate"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cube), "--out", str(out), "--quiet"]) == 0
+    hd = read_json(tmp_path / "distance" / "distance.json")["hypo_distance"]
+    assert 0.0 < hd["lower_bound"] <= hd["value"] <= hd["upper_bound"] <= 1.0
+    assert read_json(tmp_path / "validate" / "validate.json")[
+        "total_sandwich_violations"] == 0
+    for command in ("estimate", "study"):
+        assert main([command, "--config", str(cube), "--out",
+                     str(tmp_path / f"{command}-out"), "--quiet"]) == 1
+        assert "estimation supports m in {1, 2}" in capsys.readouterr().err
+    tesseract = box_config("tesseract.json", 4, 1)
+    assert main(["distance", "--config", str(tesseract), "--out",
+                 str(tmp_path / "t"), "--quiet"]) == 1
+    assert "dimensions are 1, 2 and 3" in capsys.readouterr().err
+
+
 def test_study_subcommand(tmp_path):
     cfg = write_config(tmp_path / "run.json", delta=0.7,
                        grid={"cells_per_axis": 4},

@@ -244,6 +244,8 @@ def test_pair_validation_errors(unit_square_grid, unit_interval_grid, rng):
     tesseract = random_monotone(rng, build_grid(Domain([0.0] * 4, [1.0] * 4), 2))
     with pytest.raises(ValueError, match="dimensions are 1, 2 and 3"):
         hat_dl_rho(tesseract, tesseract, 1.0)
+    with pytest.raises(ValueError, match="dimensions 1 to 3, got 4"):
+        point_hypo_dist(tesseract, [0.5] * 5, method="geometric")
 
 
 def test_hypo_dist_estimate_report_fields(rng, unit_square_grid):
@@ -335,8 +337,8 @@ def test_search_evaluation_budget():
 
 
 def test_search_point_budget():
-    # 87,811 region points with a search at every radius, both directions
-    # sharing one point set per shift; 38,101 when the plateau radii are
+    # 59,590 region points with a search at every radius, both directions
+    # sharing one point set per shift; 26,220 when the plateau radii are
     # filled without a search
     rep = hypo_dist_estimate(*_uuv_box_pair(), quad_points=32)
     assert rep.points <= 45_000
