@@ -13,6 +13,12 @@ rejected so a typo in ``delta`` or ``bounded_growth`` cannot silently change
 an experiment.  Relative paths inside a config resolve against the config
 file's directory.  Exit codes: 0 success, 1 configuration or usage error,
 2 shape-infeasible, 3 LP iteration limit, 4 LP solver failure.
+
+No output directory is made before the config has passed every check that
+can refuse it.  ``estimate`` and ``study`` build their estimation problems
+first, then make the directory and start the solves; ``distance`` and
+``validate`` make it when they write their JSON, after the distance layer
+has accepted the sources.
 """
 
 from __future__ import annotations
@@ -113,10 +119,10 @@ def _positive_int_list(x, where: str, length: int | None = None) -> list:
     return [int(v) for v in vals]
 
 
-def _positive_int(cfg: dict, key: str, default: int) -> int:
+def _positive_int(cfg: dict, key: str, default: int, least: int = 1) -> int:
     value = cfg.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        _fail(f"$.{key}", f"must be a positive integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        _fail(f"$.{key}", f"must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -171,8 +177,8 @@ def _parse_grid(domain: Domain, obj, where: str) -> Grid:
         _fail(where, str(e))
 
 
-_SPEC_KINDS = {"uniform_box", "dirac", "mixture", "samples"}
-_SOURCE_KINDS = _SPEC_KINDS | {"samples_csv", "grid_function"}
+_FILE_KINDS = {"samples_csv", "grid_function"}
+_SOURCE_KINDS = {"uniform_box", "dirac", "mixture", "samples"} | _FILE_KINDS
 
 
 def _parse_spec(obj, where: str, grid: Grid):
@@ -231,31 +237,24 @@ def _read_samples_csv(path: str, where: str) -> np.ndarray:
 
 
 def _resolve_source(obj, where: str, grid: Grid, base_dir: str) -> GridFunction:
-    if not isinstance(obj, dict):
-        _fail(where, "source must be an object with a 'kind'")
-    kind = obj.get("kind")
     try:
-        if kind == "samples_csv":
-            _check_keys(obj, where, {"kind", "path"}, {"path"})
-            path = obj["path"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
+        if not isinstance(obj, dict) or obj.get("kind") not in _FILE_KINDS:
+            return realize(_parse_spec(obj, where, grid), grid)
+        _check_keys(obj, where, {"kind", "path"}, {"path"})
+        if not isinstance(obj["path"], str):
+            _fail(f"{where}.path", f"expected a string, got {obj['path']!r}")
+        path = os.path.join(base_dir, obj["path"])  # an absolute path stays
+        if obj["kind"] == "samples_csv":
             return empirical_cdf(_read_samples_csv(path, where), grid)
-        if kind == "grid_function":
-            _check_keys(obj, where, {"kind", "path"}, {"path"})
-            path = obj["path"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            try:
-                f = load_grid_function(path)
-            except (OSError, ValueError) as e:
-                _fail(where, f"cannot load grid function {path}: {e}")
-            if f.grid == grid:
-                return f
-            if f.grid.domain != grid.domain:
-                _fail(where, f"{path}: domain differs from the config domain")
-            return resample(f, grid)
-        return realize(_parse_spec(obj, where, grid), grid)
+        try:
+            f = load_grid_function(path)
+        except (OSError, ValueError) as e:
+            _fail(where, f"cannot load grid function {path}: {e}")
+        if f.grid == grid:
+            return f
+        if f.grid.domain != grid.domain:
+            _fail(where, f"{path}: domain differs from the config domain")
+        return resample(f, grid)
     except ConfigError:
         raise
     except ValueError as e:
@@ -313,10 +312,16 @@ _ALL_KEYS = _COMMON_KEYS | {
 }
 
 
-def _parse_common(cfg: dict, path: str):
+def _load(args, *required: str):
+    """The config at ``args.config``, its keys checked against the family
+    schema with ``required`` beyond the common required keys, and its common
+    part parsed: ``(cfg, grid, F0, G0, rho, shape, tol)``."""
+    cfg = load_config(args.config)
+    _check_keys(cfg, "$", _ALL_KEYS,
+                {"schema_version", "domain", "grid", "F0", "G0", *required})
     domain = _parse_domain(cfg["domain"], "$.domain")
     grid = _parse_grid(domain, cfg["grid"], "$.grid")
-    base_dir = os.path.dirname(os.path.abspath(path))
+    base_dir = os.path.dirname(os.path.abspath(args.config))
     F0 = _resolve_source(cfg["F0"], "$.F0", grid, base_dir)
     G0 = _resolve_source(cfg["G0"], "$.G0", grid, base_dir)
     rho = None
@@ -328,7 +333,7 @@ def _parse_common(cfg: dict, path: str):
     tol = _number(cfg.get("tol", 1e-8), "$.tol")
     if not (0 < tol < 1):
         _fail("$.tol", f"must be in (0, 1), got {tol}")
-    return domain, grid, F0, G0, rho, shape, tol
+    return cfg, grid, F0, G0, rho, shape, tol
 
 
 def _radii_and_samples(cfg: dict, domain: Domain, rho) -> tuple[list, int]:
@@ -342,19 +347,17 @@ def _radii_and_samples(cfg: dict, domain: Domain, rho) -> tuple[list, int]:
     if not rho_values or not all(r > 0 and math.isfinite(r) for r in rho_values):
         _fail("$.rho_values",
               f"must be a non-empty list of positive finite radii, got {rho_values}")
-    samples = cfg.get("oracle_samples", 9)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-        _fail("$.oracle_samples", f"must be an integer >= 2, got {samples!r}")
-    return rho_values, samples
+    return rho_values, _positive_int(cfg, "oracle_samples", 9, least=2)
 
 
 def _deltas(cfg: dict) -> list:
     raw = cfg["delta"]
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return [float(raw)]
-    vals = _float_list(raw, "$.delta")
+    single = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    vals = [float(raw)] if single else _float_list(raw, "$.delta")
     if not vals:
         _fail("$.delta", "delta ladder must be non-empty")
+    if not all(v >= 0 and math.isfinite(v) for v in vals):
+        _fail("$.delta", f"must be finite nonnegative radii, got {vals}")
     return vals
 
 
@@ -366,7 +369,10 @@ def _make_problem(F0, G0, delta, rho, shape, tol) -> EstimationProblem:
 
 
 def _out_dir(args, cfg: dict) -> str:
-    out = args.out or cfg.get("out_dir") or "."
+    configured = cfg.get("out_dir")
+    if not isinstance(configured, (str, type(None))):
+        _fail("$.out_dir", f"expected a string, got {configured!r}")
+    out = args.out or configured or "."
     try:
         os.makedirs(out, exist_ok=True)
         probe = os.path.join(out, ".write_probe")
@@ -454,30 +460,23 @@ def _map_until_failure(fn, items: list, workers: int) -> list:
 
 
 def cmd_estimate(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid",
-                                      "F0", "G0", "delta"})
-    domain, grid, F0, G0, rho, shape, tol = _parse_common(cfg, args.config)
+    cfg, grid, F0, G0, rho, shape, tol = _load(args, "delta")
     deltas = _deltas(cfg)
+    problems = [_make_problem(F0, G0, delta, rho, shape, tol) for delta in deltas]
     out = _out_dir(args, cfg)
-
-    def solve_delta(delta: float):
-        problem = _make_problem(F0, G0, delta, rho, shape, tol)
-        return problem, estimate(problem)
 
     # each delta is estimated on its own, so the deltas run concurrently;
     # their files are written afterwards, in config order
     workers = min(len(deltas), _usable_cpus())
     t0 = time.perf_counter()
-    outcomes = _map_until_failure(solve_delta, deltas, workers)
+    outcomes = _map_until_failure(estimate, problems, workers)
     elapsed = time.perf_counter() - t0
 
     runs = []
     total_time = 0.0
-    for delta, (solved, error) in zip(deltas, outcomes):
+    for delta, (result, error) in zip(deltas, outcomes):
         if error is not None:
             raise error
-        problem, result = solved
         total_time += result.wall_time
         suffix = "" if len(deltas) == 1 else f"_delta_{delta:g}"
         sol_path = os.path.join(out, f"solution{suffix}.csv")
@@ -518,7 +517,7 @@ def cmd_estimate(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "estimate",
-        "rho": problem.rho,
+        "rho": problems[0].rho,
         "tol": tol,
         "grid": grid.to_json_obj(),
         "runs": runs,
@@ -530,13 +529,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid",
-                                      "F0", "G0"})
-    domain, grid, F0, G0, rho, _shape, tol = _parse_common(cfg, args.config)
-    rho_values, samples = _radii_and_samples(cfg, domain, rho)
+    cfg, grid, F0, G0, rho, _shape, tol = _load(args)
+    rho_values, samples = _radii_and_samples(cfg, grid.domain, rho)
     quad_points = _positive_int(cfg, "quad_points", 32)
-    out = _out_dir(args, cfg)
 
     def at_rho(r: float) -> dict:
         return {
@@ -566,7 +561,7 @@ def cmd_distance(args) -> int:
             "points": integral.points,
         },
     }
-    _dump_json(report, os.path.join(out, "distance.json"))
+    _dump_json(report, os.path.join(_out_dir(args, cfg), "distance.json"))
     if not args.quiet:
         for row in per_rho:
             print(
@@ -582,10 +577,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid", "F0",
-                                      "G0", "delta", "refinement_factors"})
-    domain, grid, F0, G0, rho, shape, tol = _parse_common(cfg, args.config)
+    cfg, _grid, F0, G0, rho, shape, tol = _load(args, "delta", "refinement_factors")
     deltas = _deltas(cfg)
     if len(deltas) != 1:
         _fail("$.delta", "a study takes a single delta, not a ladder")
@@ -596,9 +588,9 @@ def cmd_study(args) -> int:
         _fail("$.refinement_factors", "each factor must divide the next")
     budget = _positive_int(cfg, "rect_budget", 200_000)
     quad_points = _positive_int(cfg, "quad_points", 32)
+    problem = _make_problem(F0, G0, deltas[0], rho, shape, tol)
     out = _out_dir(args, cfg)
 
-    problem = _make_problem(F0, G0, deltas[0], rho, shape, tol)
     report = refinement_study(problem, factors, quad_points=quad_points)
 
     def validate_level(item) -> dict:
@@ -651,13 +643,9 @@ def cmd_study(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, "$", _ALL_KEYS, {"schema_version", "domain", "grid",
-                                      "F0", "G0"})
-    domain, grid, F0, G0, rho, _shape, tol = _parse_common(cfg, args.config)
-    rho_values, samples = _radii_and_samples(cfg, domain, rho)
+    cfg, grid, F0, G0, rho, _shape, tol = _load(args)
+    rho_values, samples = _radii_and_samples(cfg, grid.domain, rho)
     budget = _positive_int(cfg, "rect_budget", 200_000)
-    out = _out_dir(args, cfg)
 
     def sandwich_at(r: float) -> dict:
         rep = verify_sandwich(F0, G0, r, samples_per_axis=samples, tol=tol)
@@ -677,7 +665,7 @@ def cmd_validate(args) -> int:
         },
         "total_sandwich_violations": sum(len(s["violations"]) for s in sandwiches),
     }
-    _dump_json(doc, os.path.join(out, "validate.json"))
+    _dump_json(doc, os.path.join(_out_dir(args, cfg), "validate.json"))
     if not args.quiet:
         for s in sandwiches:
             status = "ok" if not s["violations"] else "VIOLATED"

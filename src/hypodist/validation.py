@@ -30,7 +30,6 @@ from .functions import (
 from .grid import Domain, Rect, _vertex_signs, build_grid, corner_bits, lattice
 from .metrics import (
     DistanceReport,
-    RhoBall,
     dl_rho_oracle,
     eta_minus,
     eta_plus,
@@ -97,13 +96,9 @@ def verify_sandwich(
     hat2 = hat_dl_rho(f, g, 2.0 * rho, tol=tol)
     oracle = dl_rho_oracle(f, g, rho, samples_per_axis)
 
-    region = RhoBall(rho).region(f.grid.domain)
-    if region is None:
-        extent = 2.0 * rho
-    else:
-        lo, hi = region
-        extent = max(float(np.max(hi - lo)), 2.0 * rho)
-    slack = extent / (samples_per_axis - 1)
+    # the widest lattice axis spans 2 rho: the level axis is [-rho, rho], and
+    # the region S cap [-rho, rho]^m has no side longer than that
+    slack = 2.0 * rho / (samples_per_axis - 1)
 
     violations = []
     if em > hat + tol:

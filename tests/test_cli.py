@@ -441,14 +441,20 @@ def test_dimension_scope_of_the_commands(tmp_path, capsys):
     assert 0.0 < hd["lower_bound"] <= hd["value"] <= hd["upper_bound"] <= 1.0
     assert read_json(tmp_path / "validate" / "validate.json")[
         "total_sandwich_violations"] == 0
+    # a refused config leaves no output directory behind
     for command in ("estimate", "study"):
-        assert main([command, "--config", str(cube), "--out",
-                     str(tmp_path / f"{command}-out"), "--quiet"]) == 1
+        out = tmp_path / f"{command}-out"
+        assert main([command, "--config", str(cube), "--out", str(out),
+                     "--quiet"]) == 1
         assert "estimation supports m in {1, 2}" in capsys.readouterr().err
+        assert not os.path.exists(out)
     tesseract = box_config("tesseract.json", 4, 1)
-    assert main(["distance", "--config", str(tesseract), "--out",
-                 str(tmp_path / "t"), "--quiet"]) == 1
-    assert "dimensions are 1, 2 and 3" in capsys.readouterr().err
+    for command in ("distance", "validate"):
+        out = tmp_path / f"{command}-4d"
+        assert main([command, "--config", str(tesseract), "--out", str(out),
+                     "--quiet"]) == 1
+        assert "dimensions are 1, 2 and 3" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def test_study_subcommand(tmp_path):
@@ -505,17 +511,38 @@ def test_non_finite_integer_lists_are_config_errors(tmp_path, capsys, key, overr
     ("estimate", "$.tol", {"tol": 0.0}),
     ("distance", "$.tol", {"tol": 1.5}),
     ("validate", "$.tol", {"tol": math.nan}),
+    ("estimate", "$.delta", {"delta": [1.0, -0.5]}),
+    ("estimate", "$.delta", {"delta": math.nan}),
 ])
 def test_bad_values_fail_up_front_naming_the_key(tmp_path, capsys, command, key,
                                                  overrides):
-    # json.load accepts Infinity and NaN; such a value, an empty radius list
-    # or a tol outside (0, 1) fails before any output directory is made
+    # json.load accepts Infinity and NaN; such a value, an empty radius list,
+    # a tol outside (0, 1) or a negative delta anywhere in a ladder fails
+    # before any output directory is made
     cfg = write_config(tmp_path / "run.json", **overrides)
     assert main([command, "--config", str(cfg), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert f"config {key}:" in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("command,key,overrides", [
+    ("estimate", "$.F0.path", {"F0": {"kind": "samples_csv", "path": 3}}),
+    ("distance", "$.G0.path", {"G0": {"kind": "grid_function", "path": ["f.csv"]}}),
+    ("estimate", "$.out_dir", {"out_dir": 1}),
+    ("validate", "$.out_dir", {"out_dir": {"dir": "o"}}),
+])
+def test_non_string_paths_are_config_errors(tmp_path, monkeypatch, capsys, command,
+                                            key, overrides):
+    # without --out, the config's out_dir decides where the output goes
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "run.json", rho_values=[1.0], quad_points=4,
+                       oracle_samples=3, **overrides)
+    assert main([command, "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"config {key}:" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
 
 def test_study_rejects_bad_quad_points_up_front(tmp_path, capsys):
