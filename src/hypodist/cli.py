@@ -312,10 +312,58 @@ _ALL_KEYS = _COMMON_KEYS | {
 }
 
 
+def _deltas(raw) -> list:
+    single = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    vals = [float(raw)] if single else _float_list(raw, "$.delta")
+    if not vals:
+        _fail("$.delta", "delta ladder must be non-empty")
+    if not all(v >= 0 and math.isfinite(v) for v in vals):
+        _fail("$.delta", f"must be finite nonnegative radii, got {vals}")
+    return vals
+
+
+def _refinement_factors(raw) -> list:
+    factors = _positive_int_list(raw, "$.refinement_factors")
+    if len(factors) < 2:
+        _fail("$.refinement_factors", "need at least two refinement levels")
+    if any(b % a != 0 for a, b in zip(factors, factors[1:])):
+        _fail("$.refinement_factors", "each factor must divide the next")
+    return factors
+
+
+def _family_keys(cfg: dict, domain: Domain, rho) -> dict:
+    """Every key beyond the common part, parsed whichever command reads it,
+    so a config fails alike in every command.  The keys with a default get
+    it; a missing ``delta`` or ``refinement_factors`` stays missing."""
+    parsed = {}
+    if "delta" in cfg:
+        parsed["delta"] = _deltas(cfg["delta"])
+    rho_values = (
+        _float_list(cfg["rho_values"], "$.rho_values")
+        if "rho_values" in cfg
+        else [rho if rho is not None else default_rho(domain)]
+    )
+    if not rho_values or not all(r > 0 and math.isfinite(r) for r in rho_values):
+        _fail("$.rho_values",
+              f"must be a non-empty list of positive finite radii, got {rho_values}")
+    parsed["rho_values"] = rho_values
+    parsed["oracle_samples"] = _positive_int(cfg, "oracle_samples", 9, least=2)
+    parsed["quad_points"] = _positive_int(cfg, "quad_points", 32)
+    if "refinement_factors" in cfg:
+        parsed["refinement_factors"] = _refinement_factors(cfg["refinement_factors"])
+    parsed["rect_budget"] = _positive_int(cfg, "rect_budget", 200_000)
+    # read by no command; generate records its sample seed here
+    seed = cfg.get("seed")
+    if "seed" in cfg and (not isinstance(seed, int) or isinstance(seed, bool)):
+        _fail("$.seed", f"must be an integer, got {seed!r}")
+    return parsed
+
+
 def _load(args, *required: str):
     """The config at ``args.config``, its keys checked against the family
-    schema with ``required`` beyond the common required keys, and its common
-    part parsed: ``(cfg, grid, F0, G0, rho, shape, tol)``."""
+    schema with ``required`` beyond the common required keys, and parsed:
+    ``(cfg, grid, F0, G0, rho, shape, tol)``, where ``cfg`` holds every
+    family key's parsed value (see ``_family_keys``)."""
     cfg = load_config(args.config)
     _check_keys(cfg, "$", _ALL_KEYS,
                 {"schema_version", "domain", "grid", "F0", "G0", *required})
@@ -333,32 +381,8 @@ def _load(args, *required: str):
     tol = _number(cfg.get("tol", 1e-8), "$.tol")
     if not (0 < tol < 1):
         _fail("$.tol", f"must be in (0, 1), got {tol}")
+    cfg = {**cfg, **_family_keys(cfg, domain, rho)}
     return cfg, grid, F0, G0, rho, shape, tol
-
-
-def _radii_and_samples(cfg: dict, domain: Domain, rho) -> tuple[list, int]:
-    """``rho_values`` (default: the config's rho, else the domain default)
-    and ``oracle_samples``, checked."""
-    rho_values = (
-        _float_list(cfg["rho_values"], "$.rho_values")
-        if "rho_values" in cfg
-        else [rho if rho is not None else default_rho(domain)]
-    )
-    if not rho_values or not all(r > 0 and math.isfinite(r) for r in rho_values):
-        _fail("$.rho_values",
-              f"must be a non-empty list of positive finite radii, got {rho_values}")
-    return rho_values, _positive_int(cfg, "oracle_samples", 9, least=2)
-
-
-def _deltas(cfg: dict) -> list:
-    raw = cfg["delta"]
-    single = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    vals = [float(raw)] if single else _float_list(raw, "$.delta")
-    if not vals:
-        _fail("$.delta", "delta ladder must be non-empty")
-    if not all(v >= 0 and math.isfinite(v) for v in vals):
-        _fail("$.delta", f"must be finite nonnegative radii, got {vals}")
-    return vals
 
 
 def _make_problem(F0, G0, delta, rho, shape, tol) -> EstimationProblem:
@@ -417,7 +441,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_until_failure(fn, items: list, workers: int) -> list:
+def _map_until_failure(fn, items: list, workers: int) -> tuple[list, list | None]:
     """``fn`` over ``items`` on ``workers`` threads, the calling thread one of
     them, so one worker is a plain loop.  Items are taken in order; once an
     item raises, no later item is started.  The calling thread works rather
@@ -426,15 +450,35 @@ def _map_until_failure(fn, items: list, workers: int) -> list:
     ladder by about 3 MB (unverified cause: likely the extra thread's malloc
     arena).
 
+    The threads overlap only where ``fn`` releases the GIL, as HiGHS does
+    while it solves.  Left to the scheduler, two such threads often share
+    one CPU for a whole ladder, so with more than one worker, and at least
+    as many CPUs in the calling thread's mask, each worker first pins
+    itself to one of the lowest ``workers`` of them; the calling thread
+    gets its mask back before it joins the others.  Without
+    ``os.sched_setaffinity`` (macOS, Windows), with too few CPUs, or where
+    pinning raises ``OSError``, the workers run unpinned.
+
     Returns (result, exception) per item, in item order, up to the first
-    item that raised, which ends the list.  The threads overlap only where
-    ``fn`` releases the GIL, as HiGHS does while it solves."""
+    item that raised, which ends the list, and the CPU each worker was
+    pinned to, in worker order (None for one that could not pin), or None
+    when none was pinned."""
     outcomes = [None] * len(items)
     lock = threading.Lock()
     claimed, stop = 0, len(items)
+    pinnable = workers > 1 and hasattr(os, "sched_setaffinity")
+    mask = os.sched_getaffinity(0) if pinnable else set()
+    cpus = sorted(mask)[:workers] if len(mask) >= workers else None
+    pinned = [None] * workers
 
-    def work() -> None:
+    def work(k: int) -> None:
         nonlocal claimed, stop
+        if cpus is not None:
+            try:
+                os.sched_setaffinity(0, {cpus[k]})  # pid 0: this thread only
+                pinned[k] = cpus[k]
+            except OSError:
+                pass  # this worker runs unpinned
         while True:
             with lock:
                 i = claimed
@@ -448,20 +492,22 @@ def _map_until_failure(fn, items: list, workers: int) -> list:
                 with lock:
                     stop = min(stop, i + 1)
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
     for t in helpers:
         t.start()
     try:
-        work()
+        work(0)
     finally:
+        if pinned[0] is not None:
+            os.sched_setaffinity(0, mask)
         for t in helpers:
             t.join()
-    return outcomes[:stop]
+    return outcomes[:stop], (pinned if any(c is not None for c in pinned) else None)
 
 
 def cmd_estimate(args) -> int:
     cfg, grid, F0, G0, rho, shape, tol = _load(args, "delta")
-    deltas = _deltas(cfg)
+    deltas = cfg["delta"]
     problems = [_make_problem(F0, G0, delta, rho, shape, tol) for delta in deltas]
     out = _out_dir(args, cfg)
 
@@ -469,7 +515,7 @@ def cmd_estimate(args) -> int:
     # their files are written afterwards, in config order
     workers = min(len(deltas), _usable_cpus())
     t0 = time.perf_counter()
-    outcomes = _map_until_failure(estimate, problems, workers)
+    outcomes, cpus = _map_until_failure(estimate, problems, workers)
     elapsed = time.perf_counter() - t0
 
     runs = []
@@ -522,16 +568,16 @@ def cmd_estimate(args) -> int:
         "grid": grid.to_json_obj(),
         "runs": runs,
         "timings": {"total_wall_time": total_time, "elapsed": elapsed,
-                    "workers": workers},
+                    "workers": workers, "cpus": cpus},
     }
     _dump_json(report, os.path.join(out, "result.json"))
     return 0
 
 
 def cmd_distance(args) -> int:
-    cfg, grid, F0, G0, rho, _shape, tol = _load(args)
-    rho_values, samples = _radii_and_samples(cfg, grid.domain, rho)
-    quad_points = _positive_int(cfg, "quad_points", 32)
+    cfg, _grid, F0, G0, _rho, _shape, tol = _load(args)
+    rho_values, samples = cfg["rho_values"], cfg["oracle_samples"]
+    quad_points = cfg["quad_points"]
 
     def at_rho(r: float) -> dict:
         return {
@@ -578,16 +624,10 @@ def cmd_distance(args) -> int:
 
 def cmd_study(args) -> int:
     cfg, _grid, F0, G0, rho, shape, tol = _load(args, "delta", "refinement_factors")
-    deltas = _deltas(cfg)
+    deltas, factors = cfg["delta"], cfg["refinement_factors"]
     if len(deltas) != 1:
         _fail("$.delta", "a study takes a single delta, not a ladder")
-    factors = _positive_int_list(cfg["refinement_factors"], "$.refinement_factors")
-    if len(factors) < 2:
-        _fail("$.refinement_factors", "need at least two refinement levels")
-    if any(b % a != 0 for a, b in zip(factors, factors[1:])):
-        _fail("$.refinement_factors", "each factor must divide the next")
-    budget = _positive_int(cfg, "rect_budget", 200_000)
-    quad_points = _positive_int(cfg, "quad_points", 32)
+    budget, quad_points = cfg["rect_budget"], cfg["quad_points"]
     problem = _make_problem(F0, G0, deltas[0], rho, shape, tol)
     out = _out_dir(args, cfg)
 
@@ -643,9 +683,9 @@ def cmd_study(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg, grid, F0, G0, rho, _shape, tol = _load(args)
-    rho_values, samples = _radii_and_samples(cfg, grid.domain, rho)
-    budget = _positive_int(cfg, "rect_budget", 200_000)
+    cfg, _grid, F0, G0, _rho, _shape, tol = _load(args)
+    rho_values, samples = cfg["rho_values"], cfg["oracle_samples"]
+    budget = cfg["rect_budget"]
 
     def sandwich_at(r: float) -> dict:
         rep = verify_sandwich(F0, G0, r, samples_per_axis=samples, tol=tol)

@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,33 @@ def test_ladder_matches_single_delta_estimates(tmp_path):
     assert all(b >= a for a, b in zip(etas, etas[1:])), etas
 
 
+def pinned_cpus(workers: int):
+    """The CPUs a ladder of ``workers`` workers pins to on this host: the
+    lowest ``workers`` of this thread's mask, or None where it cannot pin."""
+    if workers < 2 or not hasattr(os, "sched_setaffinity"):
+        return None
+    mask = sorted(os.sched_getaffinity(0))
+    return mask[:workers] if len(mask) >= workers else None
+
+
+def assert_same_ladder_files(a, b) -> None:
+    """Two ladder output directories hold the same files, byte for byte
+    apart from the timings in result.json."""
+    docs = []
+    for out in (a, b):
+        doc = read_json(out / "result.json")
+        doc.pop("timings")
+        for run in doc["runs"]:
+            run.pop("wall_time")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for name in names:
+        if name != "result.json":
+            assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
 def test_ladder_on_two_workers_matches_one_worker(tmp_path, monkeypatch):
     # the deltas of a ladder run concurrently, one per usable CPU; forcing
     # the CPU count runs the threaded path on any host, and its files must
@@ -176,7 +204,6 @@ def test_ladder_on_two_workers_matches_one_worker(tmp_path, monkeypatch):
     from hypodist import cli as climod
 
     cfg = write_config(tmp_path / "ladder.json", delta=[0.7, 1.0, 0.4, 0.1])
-    docs = []
     for workers in (1, 2):
         monkeypatch.setattr(climod, "_usable_cpus", lambda n=workers: n)
         out = tmp_path / f"workers_{workers}"
@@ -185,17 +212,86 @@ def test_ladder_on_two_workers_matches_one_worker(tmp_path, monkeypatch):
         doc = read_json(out / "result.json")
         timings = doc.pop("timings")
         assert timings["workers"] == workers and timings["elapsed"] > 0
+        assert timings["cpus"] == pinned_cpus(workers)
         assert timings["total_wall_time"] == pytest.approx(
-            sum(r.pop("wall_time") for r in doc["runs"]))
-        docs.append(doc)
-    assert docs[0] == docs[1]
-    names = sorted(os.listdir(tmp_path / "workers_1"))
-    assert names == sorted(os.listdir(tmp_path / "workers_2"))
-    assert len(names) == 1 + 4 * 4  # result.json; csv, sidecar, 2 plots per delta
-    for name in names:
-        if name != "result.json":
-            assert filecmp.cmp(tmp_path / "workers_1" / name,
-                               tmp_path / "workers_2" / name, shallow=False), name
+            sum(r["wall_time"] for r in doc["runs"]))
+    # result.json; csv, sidecar, 2 plots per delta
+    assert len(os.listdir(tmp_path / "workers_1")) == 1 + 4 * 4
+    assert_same_ladder_files(tmp_path / "workers_1", tmp_path / "workers_2")
+
+
+def test_ladder_workers_run_pinned_to_their_own_cpus(tmp_path, monkeypatch):
+    # each of two workers pins itself to one of the two lowest CPUs, and the
+    # calling thread, one of them, gets its mask back afterwards
+    if pinned_cpus(2) is None:
+        pytest.skip("needs sched_setaffinity and at least 2 usable CPUs")
+    from hypodist import cli as climod
+
+    real_estimate = climod.estimate
+    masks = {}
+    second_started = threading.Event()
+
+    def recording(problem):
+        masks[problem.delta] = frozenset(os.sched_getaffinity(0))
+        if problem.delta == 1.0:
+            second_started.set()
+        elif problem.delta == 0.7:
+            # held until the second item has started, so it runs on the
+            # other worker
+            assert second_started.wait(timeout=60)
+        return real_estimate(problem)
+
+    monkeypatch.setattr(climod, "estimate", recording)
+    monkeypatch.setattr(climod, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path / "ladder.json", delta=[0.7, 1.0, 0.4, 0.1])
+    before = os.sched_getaffinity(0)
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    assert os.sched_getaffinity(0) == before
+    timings = read_json(tmp_path / "o" / "result.json")["timings"]
+    assert timings["workers"] == 2
+    assert timings["cpus"] == sorted(before)[:2]
+    assert len(masks) == 4
+    assert set(masks.values()) == {frozenset({c}) for c in timings["cpus"]}
+    assert masks[0.7] != masks[1.0]
+
+
+@pytest.mark.parametrize("case", ["one cpu", "refused", "missing"])
+def test_ladder_runs_unpinned_where_it_cannot_pin(tmp_path, monkeypatch, case):
+    # fewer CPUs than workers, a refused sched_setaffinity, or none at all
+    # (macOS, Windows): two workers run unpinned, and their files equal a
+    # one-worker run's byte for byte
+    from hypodist import cli as climod
+
+    cfg = write_config(tmp_path / "ladder.json", delta=[0.7, 1.0, 0.4, 0.1])
+    monkeypatch.setattr(climod, "_usable_cpus", lambda: 1)
+    assert main(["estimate", "--config", str(cfg), "--out",
+                 str(tmp_path / "workers_1"), "--quiet"]) == 0
+
+    calls = []
+
+    def refuse(pid, mask):
+        calls.append(mask)
+        raise OSError("sched_setaffinity refused")
+
+    if case == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, mask: calls.append(mask), raising=False)
+    elif case == "refused":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(climod, "_usable_cpus", lambda: 2)
+    assert main(["estimate", "--config", str(cfg), "--out",
+                 str(tmp_path / "workers_2"), "--quiet"]) == 0
+    timings = read_json(tmp_path / "workers_2" / "result.json")["timings"]
+    assert timings["workers"] == 2 and timings["cpus"] is None
+    # each worker tries its CPU once; a one-CPU mask tries none
+    assert sorted(min(m) for m in calls) == ([0, 1] if case == "refused" else [])
+    assert_same_ladder_files(tmp_path / "workers_1", tmp_path / "workers_2")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -513,12 +609,16 @@ def test_non_finite_integer_lists_are_config_errors(tmp_path, capsys, key, overr
     ("validate", "$.tol", {"tol": math.nan}),
     ("estimate", "$.delta", {"delta": [1.0, -0.5]}),
     ("estimate", "$.delta", {"delta": math.nan}),
+    ("estimate", "$.rho_values", {"rho_values": "x"}),
+    ("estimate", "$.seed", {"seed": "not a seed"}),
+    ("distance", "$.delta", {"delta": [1.0, -0.5]}),
 ])
 def test_bad_values_fail_up_front_naming_the_key(tmp_path, capsys, command, key,
                                                  overrides):
     # json.load accepts Infinity and NaN; such a value, an empty radius list,
     # a tol outside (0, 1) or a negative delta anywhere in a ladder fails
-    # before any output directory is made
+    # before any output directory is made, in every command, whether or not
+    # the command reads the key
     cfg = write_config(tmp_path / "run.json", **overrides)
     assert main([command, "--config", str(cfg), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 1
