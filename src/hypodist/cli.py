@@ -226,7 +226,7 @@ def _read_samples_csv(path: str, where: str) -> np.ndarray:
         with open(path) as fh:
             header = fh.readline().strip()
             cols = header.split(",")
-            rows = _csv_rows(fh, len(cols))
+            rows, _ = _csv_rows(fh, len(cols))
     except (OSError, ValueError) as e:
         _fail(where, f"cannot read samples from {path}: {e}")
     if header != _axis_header(len(cols)):
@@ -312,6 +312,10 @@ _ALL_KEYS = _COMMON_KEYS | {
 }
 
 
+# the part of a ladder's file names that tells their delta
+_DELTA_SUFFIX = "_delta_{:g}"
+
+
 def _deltas(raw) -> list:
     single = isinstance(raw, (int, float)) and not isinstance(raw, bool)
     vals = [float(raw)] if single else _float_list(raw, "$.delta")
@@ -319,6 +323,9 @@ def _deltas(raw) -> list:
         _fail("$.delta", "delta ladder must be non-empty")
     if not all(v >= 0 and math.isfinite(v) for v in vals):
         _fail("$.delta", f"must be finite nonnegative radii, got {vals}")
+    suffixes = [_DELTA_SUFFIX.format(v) for v in vals]
+    if len(set(suffixes)) < len(vals):
+        _fail("$.delta", f"two deltas would share file names: {suffixes}")
     return vals
 
 
@@ -354,8 +361,9 @@ def _family_keys(cfg: dict, domain: Domain, rho) -> dict:
     parsed["rect_budget"] = _positive_int(cfg, "rect_budget", 200_000)
     # read by no command; generate records its sample seed here
     seed = cfg.get("seed")
-    if "seed" in cfg and (not isinstance(seed, int) or isinstance(seed, bool)):
-        _fail("$.seed", f"must be an integer, got {seed!r}")
+    if "seed" in cfg and (not isinstance(seed, int) or isinstance(seed, bool)
+                          or seed < 0):
+        _fail("$.seed", f"must be a nonnegative integer, got {seed!r}")
     return parsed
 
 
@@ -524,7 +532,7 @@ def cmd_estimate(args) -> int:
         if error is not None:
             raise error
         total_time += result.wall_time
-        suffix = "" if len(deltas) == 1 else f"_delta_{delta:g}"
+        suffix = "" if len(deltas) == 1 else _DELTA_SUFFIX.format(delta)
         sol_path = os.path.join(out, f"solution{suffix}.csv")
         save_grid_function(result.solution, sol_path)
         surf_path = os.path.join(out, f"surface{suffix}.dat")
@@ -761,6 +769,13 @@ def cmd_generate(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+def _seed_arg(text: str) -> int:
+    """``--seed``: a nonnegative integer, which the sample generator needs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypodist",
@@ -789,7 +804,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
     p = sub.add_parser("generate", help="write ready-to-run scenario inputs")
     p.add_argument("scenario", choices=["two-uniforms", "uuv-synthetic"])
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed_arg, default=None,
                    help="sample seed (default 7)")
     common(p, needs_config=False)
     p.set_defaults(fn=cmd_generate)

@@ -46,7 +46,7 @@ from .functions import GridFunction, _axis_increments, cell_masses, resample
 from .grid import Grid, _vertex_signs, corner_bits, interpolation_weights, refine
 from .metrics import (
     DistanceReport,
-    _require_unit_range,
+    _validate_pair,
     default_rho,
     hypo_dist_estimate,
     slope_bounded_search,
@@ -119,23 +119,15 @@ class EstimationProblem:
         shape: ShapeConstraints | None = None,
         tol: float = 1e-8,
     ) -> None:
-        if F0.grid != G0.grid:
-            raise ValueError("F0 and G0 must share the grid")
+        rho_val = default_rho(F0.grid.domain) if rho is None else float(rho)
+        _validate_pair(F0, G0, need_uniform=False, rho=rho_val, tol=tol,
+                       names=("F0", "G0"))
         if F0.grid.dim not in (1, 2):
             raise ValueError(f"estimation supports m in {{1, 2}}, got {F0.grid.dim}")
         if F0.order != 1 or G0.order != 1:
             raise ValueError("F0 and G0 must be order-1 (node-valued) functions")
-        if not (F0.monotone and G0.monotone):
-            raise ValueError("F0 and G0 must carry the monotone flag")
-        _require_unit_range(F0, "F0")
-        _require_unit_range(G0, "G0")
         if not (delta >= 0 and math.isfinite(delta)):
             raise ValueError(f"delta must be a finite nonnegative radius, got {delta}")
-        rho_val = default_rho(F0.grid.domain) if rho is None else float(rho)
-        if not (rho_val > 0 and math.isfinite(rho_val)):
-            raise ValueError(f"rho must be positive and finite, got {rho_val}")
-        if not (0 < tol < 1):
-            raise ValueError(f"tol must be in (0, 1), got {tol}")
         self.F0 = F0
         self.G0 = G0
         self.delta = float(delta)

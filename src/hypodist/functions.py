@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import Grid, Rect, interpolation_weights, locate_batch
+from .grid import Grid, Rect, corner_sum, interpolation_weights, locate_batch
 
 __all__ = [
     "GridFunction",
@@ -151,14 +151,8 @@ class GridFunction:
         """
         if self.order == 0:
             return self.values.copy()
-        v = self.values
-        for ax in range(v.ndim):
-            lead = [slice(None)] * v.ndim
-            lag = [slice(None)] * v.ndim
-            lead[ax] = slice(1, None)
-            lag[ax] = slice(None, -1)
-            v = np.maximum(v[tuple(lead)], v[tuple(lag)])
-        return v
+        corners = self.values.reshape(-1)[self.grid.cell_corners()]
+        return corners.max(axis=1).reshape(self.grid.cell_counts)
 
     def with_monotone_flag(self) -> "GridFunction":
         """Copy of this function with the monotone flag switched on (checked)."""
@@ -377,8 +371,7 @@ def delta_rect(f: GridFunction, rect: Rect) -> float:
     For a CDF this is the probability mass of the half-open box."""
     if rect.dim != f.grid.dim:
         raise ValueError(f"rect dimension {rect.dim} != grid dimension {f.grid.dim}")
-    vals = f.eval(rect.vertices)
-    return float(np.dot(rect.signs.astype(float), np.atleast_1d(vals)))
+    return float(corner_sum(f.eval(rect.vertices)))
 
 
 def cell_masses(f: GridFunction) -> np.ndarray:
@@ -386,10 +379,17 @@ def cell_masses(f: GridFunction) -> np.ndarray:
     (order 1 only); for a CDF these are the cells' probability masses."""
     if f.order != 1:
         raise ValueError("cell masses need node values (order 1)")
-    mass = f.values
-    for ax in range(mass.ndim):
-        mass = np.diff(mass, axis=ax)
-    return mass
+    corners = f.values.reshape(-1)[f.grid.cell_corners()]
+    return corner_sum(corners).reshape(f.grid.cell_counts)
+
+
+def _value_points(grid: Grid, order: int) -> np.ndarray:
+    """The points that carry a grid function's values: the nodes (order 1)
+    or the cell centroids (order 0), C-order."""
+    if order == 1:
+        return grid.node_lattice()
+    lower, upper = grid.cell_bounds()
+    return 0.5 * (lower + upper)
 
 
 def expected_value(f: GridFunction, *, neg_tol: float = 1e-9) -> np.ndarray:
@@ -410,9 +410,7 @@ def expected_value(f: GridFunction, *, neg_tol: float = 1e-9) -> np.ndarray:
     total = float(mass.sum())
     if total <= 0.0:
         raise ValueError("total mass is zero; cannot form an expected value")
-    lower, upper = f.grid.cell_bounds()
-    centroids = 0.5 * (lower + upper)
-    return (mass[:, None] * centroids).sum(axis=0) / total
+    return (mass[:, None] * _value_points(f.grid, 0)).sum(axis=0) / total
 
 
 def resample(f: GridFunction, grid: Grid) -> GridFunction:
@@ -424,12 +422,8 @@ def resample(f: GridFunction, grid: Grid) -> GridFunction:
     """
     if grid.domain != f.grid.domain:
         raise ValueError("resample requires the same underlying domain")
-    if f.order == 1:
-        vals = f.eval(grid.node_lattice()).reshape(grid.shape)
-        return GridFunction(grid, 1, vals, monotone=f.monotone)
-    lower, upper = grid.cell_bounds()
-    vals = f.eval(0.5 * (lower + upper)).reshape(grid.cell_counts)
-    return GridFunction(grid, 0, vals, monotone=f.monotone)
+    return GridFunction(grid, f.order, f.eval(_value_points(grid, f.order)),
+                        monotone=f.monotone)
 
 
 # -- file format -----------------------------------------------------------------
@@ -467,14 +461,9 @@ def save_grid_function(f: GridFunction, path: str) -> None:
     The sidecar ``<path>.meta.json`` records the format version, order,
     monotone flag, grid and a grid content hash.
     """
-    grid = f.grid
-    if f.order == 1:
-        points = grid.node_lattice()
-    else:
-        lower, upper = grid.cell_bounds()
-        points = 0.5 * (lower + upper)
-    _write_rows(path, np.column_stack([points, f.values.reshape(-1)]),
-                header=_axis_header(grid.dim) + ",value")
+    _write_rows(path, np.column_stack([_value_points(f.grid, f.order),
+                                       f.values.reshape(-1)]),
+                header=_axis_header(f.grid.dim) + ",value")
     meta = {
         "format_version": FORMAT_VERSION,
         "order": f.order,
@@ -487,11 +476,11 @@ def save_grid_function(f: GridFunction, path: str) -> None:
         fh.write("\n")
 
 
-def _csv_rows(fh, ncols: int) -> np.ndarray:
+def _csv_rows(fh, ncols: int) -> tuple[np.ndarray, list]:
     """The nonblank rows after the header line of an open CSV file, shape
-    (N, ncols).  A row of another width or with a token that is not a
-    number raises ValueError naming its line."""
-    rows = []
+    (N, ncols), and their line numbers.  A row of another width or with a
+    token that is not a number raises ValueError naming its line."""
+    rows, linenos = [], []
     for lineno, line in enumerate(fh, start=2):
         if not line.strip():
             continue
@@ -502,7 +491,8 @@ def _csv_rows(fh, ncols: int) -> np.ndarray:
             rows.append([float(tok) for tok in toks])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    return np.array(rows, dtype=float).reshape(-1, ncols)
+        linenos.append(lineno)
+    return np.array(rows, dtype=float).reshape(-1, ncols), linenos
 
 
 def load_grid_function(path: str) -> GridFunction:
@@ -531,5 +521,14 @@ def load_grid_function(path: str) -> GridFunction:
             raise ValueError(
                 f"unexpected CSV header {header!r}; wanted {expected_header!r}"
             )
-        flat = _csv_rows(fh, grid.dim + 1)[:, -1].copy()
-    return GridFunction(grid, order, flat, monotone=bool(meta.get("monotone", False)))
+        rows, linenos = _csv_rows(fh, grid.dim + 1)
+    points = _value_points(grid, order)
+    if rows.shape[0] == points.shape[0]:
+        # saved coordinates round-trip, so they must match exactly
+        bad = np.flatnonzero(np.any(rows[:, :-1] != points, axis=1))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"line {linenos[k]}: coordinates {rows[k, :-1].tolist()} "
+                             f"are not the grid's point {points[k].tolist()}")
+    return GridFunction(grid, order, rows[:, -1].copy(),
+                        monotone=bool(meta.get("monotone", False)))

@@ -5,8 +5,8 @@ the one box type: a rectangle A inside S, a partition cell and S itself are
 all ``Domain`` objects, and ``Rect`` is another name for it.  A grid carries
 strictly increasing node coordinates per axis (first node = a_i, last = b_i)
 and induces the box partition into cells [l^k, u^k], the parity-signed cell
-corners used by the signed corner-sum operator, and the Kuhn triangulation
-of every cell.
+corners used by the signed corner-sum operator (``corner_sum``), and the
+Kuhn triangulation of every cell.
 
 Corners are enumerated in one order everywhere (``corner_bits``): corner c
 of a box takes the upper end on axis i when bit i of c is set, so corner 0
@@ -50,6 +50,7 @@ __all__ = [
     "cells",
     "locate",
     "corner_bits",
+    "corner_sum",
 ]
 
 
@@ -140,6 +141,17 @@ def _vertex_signs(dim: int) -> np.ndarray:
     when the number of coordinates sitting at a lower bound is even."""
     n_lower = dim - corner_bits(dim).sum(axis=1)
     return np.where(n_lower % 2 == 0, 1, -1)
+
+
+def corner_sum(values: np.ndarray) -> np.ndarray:
+    """Signed corner sums of boxes from their corner values, shape
+    (..., 2^m) in ``corner_bits`` order; returns shape (...).  The sum is
+    taken as differences along axis 0, then axis 1, and so on, the order of
+    ``np.diff`` applied along each axis of a node array in turn."""
+    v = np.asarray(values, dtype=float)
+    while v.shape[-1] > 1:
+        v = v[..., 1::2] - v[..., ::2]
+    return v[..., 0]
 
 
 class Grid:

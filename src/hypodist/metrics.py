@@ -160,17 +160,11 @@ def saturation_radius(domain: Domain) -> float:
 # -- input validation ------------------------------------------------------------
 
 
-def _require_unit_range(f: GridFunction, name: str) -> None:
-    v = f.values
-    if float(np.min(v)) < -RANGE_ATOL or float(np.max(v)) > 1.0 + RANGE_ATOL:
-        raise ValueError(
-            f"{name} must take values in [0, 1] (tolerance {RANGE_ATOL:.0e}); "
-            f"got range [{float(np.min(v)):.3g}, {float(np.max(v)):.3g}]"
-        )
-
-
 def _validate_pair(f: GridFunction, g: GridFunction, *, need_uniform: bool,
-                   rho: float | None = None, tol: float | None = None) -> None:
+                   rho: float | None = None, tol: float | None = None,
+                   names: tuple[str, str] = ("f", "g")) -> None:
+    """Refuse a pair that the distances are not defined for; ``names`` name
+    f and g in the [0, 1] range messages."""
     if rho is not None and not (rho > 0 and math.isfinite(rho)):
         raise ValueError(f"rho must be positive and finite, got {rho}")
     if tol is not None and not (0 < tol < 1):
@@ -182,8 +176,13 @@ def _validate_pair(f: GridFunction, g: GridFunction, *, need_uniform: bool,
     if not (f.monotone and g.monotone):
         raise ValueError("shift distances are defined for monotone functions; "
                          "set the monotone flag on both inputs")
-    _require_unit_range(f, "f")
-    _require_unit_range(g, "g")
+    for h, name in zip((f, g), names):
+        lo, hi = float(np.min(h.values)), float(np.max(h.values))
+        if lo < -RANGE_ATOL or hi > 1.0 + RANGE_ATOL:
+            raise ValueError(
+                f"{name} must take values in [0, 1] (tolerance {RANGE_ATOL:.0e}); "
+                f"got range [{lo:.3g}, {hi:.3g}]"
+            )
     if need_uniform and f.grid.dim >= 2 and not f.grid.is_uniform():
         raise ValueError(
             "the exact violation maximizer requires per-axis uniform grids "
@@ -417,30 +416,29 @@ def hat_dl_rho(
 # -- monotone root-scan distances ---------------------------------------------------
 
 
-def _saturation_curves(
-    f: GridFunction, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Piecewise-linear curves t -> f(min(x + t, b)) + t for a batch of x.
+def _monotone_dist(f: GridFunction, X: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """dist((x, x0), hypo f) for monotone order-1 f, batched: X (n, m),
+    x0 (n, p) levels per point; returns (n, p).
 
-    Returns (T, L, t_sat, f_at_b): breakpoints and curve values per row,
-    padded with +inf, rows sorted; t_sat is where every coordinate saturates,
-    beyond which the curve continues as f(b) + t."""
+    The curve t -> f(min(x + t, b)) + t of each x is piecewise linear, with
+    breakpoints padded with +inf per row, and continues as f(b) + t once
+    every coordinate saturates; the distance is its first t reaching x0."""
+    if not f.monotone:
+        raise ValueError("the root-scan distance requires the monotone flag")
     if f.order != 1:
         raise ValueError("the root-scan needs a continuous (order-1) function")
     grid = f.grid
     dom = grid.domain
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
     n, m = X.shape
     t_sat = np.max(dom.upper[None, :] - X, axis=1)
 
-    cols = [np.zeros((n, 1)), t_sat[:, None]]
+    breaks = [np.zeros((n, 1)), t_sat[:, None]]
     for i in range(m):
         offs = grid.axes[i][None, :] - X[:, i : i + 1]
         offs = np.where((offs > _TINY) & (offs < t_sat[:, None] - _TINY), offs, np.inf)
-        cols.append(offs)
-    T = np.sort(np.concatenate(cols, axis=1), axis=1)
+        breaks.append(offs)
+    T = np.sort(np.concatenate(breaks, axis=1), axis=1)
 
     pairs = list(itertools.combinations(range(m), 2))
     if pairs:
@@ -473,22 +471,12 @@ def _saturation_curves(
     L = f.eval(pts.reshape(-1, m)).reshape(n, -1) + T_eval
     L = np.where(finite, L, np.inf)
     f_at_b = float(f.eval(dom.upper))
-    return T, L, t_sat, f_at_b
 
-
-def _roots_from_curves(
-    T: np.ndarray, L: np.ndarray, f_at_b: float, x0: np.ndarray
-) -> np.ndarray:
-    """Distances for levels x0 (per curve row): first t with curve >= x0.
-
-    x0 has shape (n, p); returns (n, p)."""
-    n, K = T.shape
     k = np.sum(L[:, None, :] < x0[:, :, None], axis=2)  # first index with L >= x0
     out = np.empty_like(x0, dtype=float)
     at_zero = k == 0
     out[at_zero] = 0.0
-    finite_count = np.sum(np.isfinite(L), axis=1)  # per row
-    beyond = k >= finite_count[:, None]
+    beyond = k >= np.sum(finite, axis=1)[:, None]
     out[beyond] = (x0 - f_at_b)[beyond]
     middle = ~(at_zero | beyond)
     if np.any(middle):
@@ -507,15 +495,6 @@ def _roots_from_curves(
         )
         out[rows, cols] = t
     return np.maximum(out, 0.0)
-
-
-def _monotone_dist(f: GridFunction, X: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """dist((x, x0), hypo f) for monotone order-1 f, batched: X (n, m),
-    x0 (n, p) levels per point."""
-    if not f.monotone:
-        raise ValueError("the root-scan distance requires the monotone flag")
-    T, L, _, f_at_b = _saturation_curves(f, X)
-    return _roots_from_curves(T, L, f_at_b, x0)
 
 
 # -- geometric per-piece distance ----------------------------------------------------

@@ -27,7 +27,7 @@ from .functions import (
     resample,
     upper_envelope,
 )
-from .grid import Domain, Rect, _vertex_signs, build_grid, corner_bits, lattice
+from .grid import Domain, Rect, build_grid, corner_bits, corner_sum, lattice
 from .metrics import (
     DistanceReport,
     dl_rho_oracle,
@@ -150,12 +150,11 @@ def distribution_error_pct(
         for ax, n in enumerate(grid.shape):
             lower[:, ax] = rng.integers(0, n - 1, size=budget)
             upper[:, ax] = rng.integers(lower[:, ax] + 1, n)
-    bits, signs = corner_bits(grid.dim), _vertex_signs(grid.dim)
-    mass = 0.0
-    for c in reversed(range(bits.shape[0])):  # upper corner first
-        corner = np.where(bits[c] == 1, upper, lower)
-        mass = mass + signs[c] * v[tuple(corner.T)]
-    bad = int(np.count_nonzero(mass < -1e-9))
+    # flat node indices of every rectangle's corners, (R, 2^m)
+    strides = np.array(grid.strides)
+    corners = ((upper - lower) * strides) @ corner_bits(grid.dim).T
+    corners += (lower @ strides)[:, None]
+    bad = int(np.count_nonzero(corner_sum(v.reshape(-1)[corners]) < -1e-9))
     return 100.0 * bad / lower.shape[0]
 
 

@@ -612,13 +612,17 @@ def test_non_finite_integer_lists_are_config_errors(tmp_path, capsys, key, overr
     ("estimate", "$.rho_values", {"rho_values": "x"}),
     ("estimate", "$.seed", {"seed": "not a seed"}),
     ("distance", "$.delta", {"delta": [1.0, -0.5]}),
+    ("validate", "$.seed", {"seed": -1}),
+    # two deltas whose files would share a name, which one would overwrite
+    ("estimate", "$.delta", {"delta": [0.7, 0.7000004]}),
+    ("distance", "$.delta", {"delta": [0.7, 0.7]}),
 ])
 def test_bad_values_fail_up_front_naming_the_key(tmp_path, capsys, command, key,
                                                  overrides):
     # json.load accepts Infinity and NaN; such a value, an empty radius list,
-    # a tol outside (0, 1) or a negative delta anywhere in a ladder fails
-    # before any output directory is made, in every command, whether or not
-    # the command reads the key
+    # a tol outside (0, 1), a negative delta anywhere in a ladder or two
+    # deltas with one file suffix fails before any output directory is made,
+    # in every command, whether or not the command reads the key
     cfg = write_config(tmp_path / "run.json", **overrides)
     assert main([command, "--config", str(cfg), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 1
@@ -695,6 +699,15 @@ def test_generate_uuv_deterministic(tmp_path):
     # relative sample paths resolve against the config directory
     header = (a / "uuv_target_samples.csv").read_text().splitlines()[0]
     assert header == "x1,x2"
+
+
+def test_generate_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "badseed"
+    assert main(["generate", "uuv-synthetic", "--seed", "-3", "--out", str(out),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_generate_unknown_scenario(tmp_path, capsys):
@@ -869,7 +882,8 @@ def test_nan_coordinates_are_config_errors(tmp_path, capsys, source):
 
 
 @pytest.mark.parametrize(
-    "breakage", ["no order", "no grid", "list", "scalar lower", "comma-less row"]
+    "breakage",
+    ["no order", "no grid", "list", "scalar lower", "comma-less row", "swapped rows"],
 )
 def test_malformed_sidecar_is_a_config_error(tmp_path, capsys, breakage):
     grid = build_grid(Domain([0.0, 0.0], [3.0, 3.0]), 7)
@@ -884,9 +898,13 @@ def test_malformed_sidecar_is_a_config_error(tmp_path, capsys, breakage):
         meta = [1, 2]
     elif breakage == "scalar lower":
         meta["grid"]["lower"] = 0
-    else:
+    elif breakage == "comma-less row":
         lines = Path(path).read_text().splitlines(keepends=True)
         lines[3] = lines[3].replace(",", "")
+        Path(path).write_text("".join(lines))
+    else:  # the nodes (0, 0) and (0, 0.5) both hold 0: the values stay as they were
+        lines = Path(path).read_text().splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
         Path(path).write_text("".join(lines))
     write_json(path + ".meta.json", meta)
     cfg = write_config(tmp_path / "run.json",
@@ -897,6 +915,8 @@ def test_malformed_sidecar_is_a_config_error(tmp_path, capsys, breakage):
     assert "$.F0: cannot load grid function" in err and "Traceback" not in err
     if breakage == "comma-less row":
         assert "line 4" in err
+    if breakage == "swapped rows":
+        assert "line 2: coordinates [0.0, 0.5]" in err
 
 
 @pytest.mark.parametrize("row", ["0.5", "0.5,0.5,0.5", "0.5,x"],

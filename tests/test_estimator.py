@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -717,6 +718,30 @@ def test_problem_validation(two_uniforms_10, unit_square_grid, rng):
     with pytest.raises(ValueError):
         ShapeConstraints(bounded_growth=-1.0)
     assert prob_grid_roundtrip(F0, G0)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("different grids", "both functions must live on the same grid"),
+    ("no monotone flag", "set the monotone flag on both inputs"),
+    ("F0 outside [0, 1]", "F0 must take values in [0, 1]"),
+    ("rho <= 0", "rho must be positive and finite, got 0.0"),
+    ("tol >= 1", "tol must be in (0, 1), got 1.0"),
+])
+def test_problem_refusals_come_from_the_pair_check(two_uniforms_10, case, message):
+    F0, G0 = two_uniforms_10
+    kwargs = {}
+    if case == "different grids":
+        G0 = realize(UniformBox([2.0, 2.0], [3.0, 3.0]), build_grid(F0.grid.domain, 6))
+    elif case == "no monotone flag":
+        G0 = GridFunction(G0.grid, 1, G0.values)
+    elif case == "F0 outside [0, 1]":
+        F0 = GridFunction(F0.grid, 1, F0.values * 2.0, monotone=True)
+    elif case == "rho <= 0":
+        kwargs["rho"] = 0.0
+    else:
+        kwargs["tol"] = 1.0
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EstimationProblem(F0, G0, 0.5, **kwargs)
 
 
 def prob_grid_roundtrip(F0, G0):

@@ -28,7 +28,7 @@ from hypodist import (
     save_grid_function,
     upper_envelope,
 )
-from hypodist.functions import interpolation_weights
+from hypodist.functions import cell_masses, interpolation_weights
 from hypodist.grid import corner_bits, locate_batch
 
 
@@ -164,6 +164,24 @@ def test_upper_envelope_dominates():
     assert np.allclose(env.eval(mids), f.eval(upper))
 
 
+@pytest.mark.parametrize("shape", [(7,), (5, 4), (3, 4, 5)], ids=["1-d", "2-d", "3-d"])
+def test_cell_masses_and_sups_match_the_axis_by_axis_references(rng, shape):
+    # the references: np.diff, then the lead/lag maximum, along each axis in turn
+    grid = build_grid(Domain([0.0] * len(shape), [1.0] * len(shape)), shape)
+    for _ in range(4):
+        f = GridFunction(grid, 1, rng.normal(size=shape))
+        mass, sup = f.values, f.values
+        for ax in range(len(shape)):
+            mass = np.diff(mass, axis=ax)
+            lead = tuple(slice(1, None) if k == ax else slice(None)
+                         for k in range(len(shape)))
+            lag = tuple(slice(None, -1) if k == ax else slice(None)
+                        for k in range(len(shape)))
+            sup = np.maximum(sup[lead], sup[lag])
+        assert np.array_equal(cell_masses(f), mass)
+        assert np.array_equal(f.cell_sups(), sup)
+
+
 def test_delta_rect_signed_corner_sum():
     g = build_grid(Domain([0.0, 0.0], [1.0, 1.0]), 3)
     f = realize(UniformBox([0.0, 0.0], [1.0, 1.0]), g)
@@ -204,6 +222,27 @@ def test_load_rejects_mismatched_sidecar(tmp_path, unit_interval_grid):
                                              '"format_version": 99'))
     with pytest.raises(ValueError):
         load_grid_function(path)
+
+
+@pytest.mark.parametrize("order", [1, 0], ids=["nodes", "cells"])
+def test_load_rejects_reordered_rows(tmp_path, order):
+    # on 2 x 2 cells, the box [0, 0.5] x [0, 1] puts 1.0 at the node (0.5, 1)
+    # and 0.5 at (1, 0.5): swapped, the values still form a monotone function
+    grid = build_grid(Domain([0.0, 0.0], [1.0, 1.0]), 3)
+    f = realize(UniformBox([0.0, 0.0], [0.5, 1.0]), grid)
+    if order == 0:
+        f = upper_envelope(f)
+    path = tmp_path / "f.csv"
+    save_grid_function(f, str(path))
+    assert np.array_equal(load_grid_function(str(path)).values, f.values)
+    lines = path.read_text().splitlines(keepends=True)
+    rows = ("0.5,1.0,1.0\n", "1.0,0.5,0.5\n") if order == 1 else (
+        "0.25,0.75,1.0\n", "0.75,0.25,0.5\n")
+    a, b = lines.index(rows[0]), lines.index(rows[1])
+    lines[a], lines[b] = lines[b], lines[a]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"line {a + 1}: coordinates"):
+        load_grid_function(str(path))
 
 
 def test_resample_exact_on_refinement():

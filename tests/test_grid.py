@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hypodist import Domain, Grid, Rect, build_grid, cells, locate, mesh_size, refine
-from hypodist.grid import corner_bits, locate_batch
+from hypodist.grid import _vertex_signs, corner_bits, corner_sum, locate_batch
 
 
 def test_domain_validation():
@@ -38,6 +38,13 @@ def test_rect_vertices_and_signs():
     g = build_grid(Domain([0.0, 0.0], [1.0, 2.0]), [3, 4])
     lower, upper = g.cell_bounds()
     assert list(cells(g)) == [Rect(lo, hi) for lo, hi in zip(lower, upper)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_corner_sum_weights_are_the_lp_signs(m):
+    # the LP's distribution rows take _vertex_signs as coefficients; the
+    # corner sum of each unit corner vector is that corner's weight
+    assert np.array_equal(corner_sum(np.eye(2 ** m)), _vertex_signs(m))
 
 
 def test_build_grid_shapes():

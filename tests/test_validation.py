@@ -157,6 +157,20 @@ def test_distribution_error_sampled_follows_the_seeded_draw(rng, dim):
         assert distribution_error_pct(F, budget=budget, seed=seed) == 100.0 * bad / budget
 
 
+def test_distribution_error_on_a_3x4_function_and_a_negated_cdf(rng):
+    g = build_grid(Domain([0.0, 0.0], [1.0, 1.0]), [3, 4])
+    F = GridFunction(g, 1, rng.integers(0, 8, size=g.shape) / 8.0)
+    masses = [rect_mass(F.values, (i0, i1), (j0, j1))
+              for i0, j0 in itertools.combinations(range(3), 2)
+              for i1, j1 in itertools.combinations(range(4), 2)]
+    bad = sum(mass < 0 for mass in masses)  # eighths: every sum is exact
+    assert 0 < bad < len(masses) == 18
+    assert distribution_error_pct(F) == 100.0 * bad / 18
+    # every rectangle of a negated CDF loses mass, sampled or not
+    neg = GridFunction(g, 1, -realize(UniformBox([0.0, 0.0], [1.0, 1.0]), g).values)
+    assert distribution_error_pct(neg, budget=5) == 100.0
+
+
 # ---------------------------------------------------------------------------
 # density convergence
 # ---------------------------------------------------------------------------
